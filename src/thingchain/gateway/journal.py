@@ -2,7 +2,10 @@
 
 Each record is  u32 length | payload | u32 crc32(payload).  Recovery reads
 until the first damaged or truncated frame, so a crash mid-append loses at
-most the record being written.
+most the record being written.  Every record is flushed to the operating
+system; a record appended with ``sync=False`` is not fsynced, so a machine
+crash may lose it, together with any unsynced records after the last synced
+one.  Each fsync makes every earlier record durable too.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ class Journal:
             self._fh = open(self.path, "ab")
         return self._fh
 
-    def append(self, kind: str, values: list) -> None:
+    def append(self, kind: str, values: list, sync: bool = True) -> None:
         payload = encode_values([kind, *values])
         frame = struct.pack(">I", len(payload)) + payload + struct.pack(">I", zlib.crc32(payload))
         fh = self._open()
         fh.write(frame)
         fh.flush()
-        os.fsync(fh.fileno())
+        if sync:
+            os.fsync(fh.fileno())
 
     def close(self) -> None:
         if self._fh is not None:

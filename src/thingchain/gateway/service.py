@@ -101,6 +101,9 @@ class UdpTransport:
     def deliver_uri(self, uri: str, payload: bytes) -> None:
         self.uri_payloads.append((uri, payload))
 
+    def close(self) -> None:
+        self._sock.close()
+
 
 def _bind_udp(listen: str) -> socket_module.socket:
     host, port = listen.rsplit(":", 1)
@@ -351,15 +354,17 @@ class Gateway:
         Actuate events on registered things go to the thing's endpoint as POST
         datagrams; Notify events with URI sinks go to the sink.  The cursor is
         journaled only after a transaction's deliveries complete, giving
-        at-least-once delivery across crashes.
+        at-least-once delivery across crashes.  Cursor records are not
+        fsynced: a machine crash that loses one only moves the cursor back,
+        and the events after it are delivered again, which at-least-once
+        allows.  The next synced record (a registration or a dead letter)
+        makes them durable.
         """
         delivered = 0
         with self._lock:
             actuation_to_thing = {reg.actuation_addr: reg for reg in self.things.values()}
             last_h, last_i = self.cursor
-            for block in self.node.blocks[1:]:
-                if block.height < last_h:
-                    continue
+            for block in self.node.blocks[max(last_h, 1):]:
                 for tx_index, receipt in enumerate(block.receipts):
                     if block.height == last_h and tx_index <= last_i:
                         continue
@@ -375,12 +380,12 @@ class Gateway:
                             delivered += max(sent, 0)
                     if attempted:
                         self.cursor = (block.height, tx_index)
-                        self.journal.append("cursor", [block.height, tx_index])
+                        self.journal.append("cursor", [block.height, tx_index], sync=False)
             if self.node.blocks:
                 tip = self.node.blocks[-1]
                 if self.cursor < (tip.height, len(tip.txs) - 1):
                     self.cursor = (tip.height, len(tip.txs) - 1)
-                    self.journal.append("cursor", [self.cursor[0], self.cursor[1]])
+                    self.journal.append("cursor", list(self.cursor), sync=False)
         return delivered
 
     def _deliver_actuation(self, reg: ThingRegistration, event, intra: int) -> int:
@@ -452,8 +457,12 @@ class Gateway:
             sock.sendto(reply, addr)
 
     def close(self) -> None:
-        """Release the socket and the journal; later calls do nothing."""
+        """Release the socket, the journal and a transport that has a
+        ``close``; later calls do nothing."""
         if self._sock is not None:
             self._sock.close()
             self._sock = None
         self.journal.close()
+        close_transport = getattr(self.transport, "close", None)
+        if close_transport is not None:
+            close_transport()

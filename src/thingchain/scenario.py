@@ -185,7 +185,9 @@ class ScenarioReport:
 class ScenarioRunner:
     def __init__(self, seed: int, workdir: str | None = None, node: Node | None = None):
         self.seed = seed
-        self.workdir = workdir or tempfile.mkdtemp(prefix="thingchain-")
+        # a directory the runner creates is removed at the end of run()
+        self._tempdir = None if workdir else tempfile.TemporaryDirectory(prefix="thingchain-")
+        self.workdir = workdir or self._tempdir.name
         self.node = node
         self.accounts: dict[str, Signer] = {}
         self.symbols: dict[str, object] = {}
@@ -277,11 +279,19 @@ class ScenarioRunner:
         return self.gateway
 
     def run(self, text: str, export_path: str | None = None) -> ScenarioReport:
-        report = ScenarioReport(seed=self.seed)
+        """Run a script once; the gateway and the runner's own workdir are
+        released when it returns."""
         try:
-            steps = parse_script(text)
-        except ParseError:
-            raise
+            return self._run(text, export_path)
+        finally:
+            if self.gateway is not None:
+                self.gateway.close()
+            if self._tempdir is not None:
+                self._tempdir.cleanup()
+
+    def _run(self, text: str, export_path: str | None) -> ScenarioReport:
+        report = ScenarioReport(seed=self.seed)
+        steps = parse_script(text)
         for step in steps:
             try:
                 detail, receipt = self._run_step(step)

@@ -4,6 +4,12 @@ External reads (read_state, history, balances, the state digest) see only the
 committed layer, i.e. state as of the last sealed block.  Execution reads go
 through all layers so transactions in the same block observe earlier writes.
 A reverted transaction simply drops its layer.
+
+Contract storage is committed per contract: its base maps each address to
+that contract's own ``{key: value}`` dict, while the block and transaction
+overlays stay flat ``(address, key)`` dicts.  Listing one contract's keys, and
+the state digest's walk over every contract, therefore touch only that
+contract's committed keys plus its entries in the small overlays.
 """
 
 from __future__ import annotations
@@ -29,8 +35,10 @@ class LayeredMap:
     def pop(self, merge: bool) -> None:
         top = self.layers.pop()
         if merge:
-            dest = self.layers[-1] if self.layers else self.base
-            dest.update(top)
+            if self.layers:
+                self.layers[-1].update(top)
+            else:
+                self._commit(top)
 
     def get(self, key, default=None, committed_only: bool = False):
         if not committed_only:
@@ -38,12 +46,14 @@ class LayeredMap:
                 if key in layer:
                     value = layer[key]
                     return default if value is _TOMBSTONE else value
-        value = self.base.get(key, _TOMBSTONE)
+        value = self._committed(key)
         return default if value is _TOMBSTONE else value
 
     def set(self, key, value) -> None:
-        target = self.layers[-1] if self.layers else self.base
-        target[key] = value
+        if self.layers:
+            self.layers[-1][key] = value
+        else:
+            self._commit({key: value})
 
     def delete(self, key) -> None:
         self.set(key, _TOMBSTONE)
@@ -55,6 +65,38 @@ class LayeredMap:
             for layer in self.layers:
                 merged.update(layer)
         return sorted(k for k, v in merged.items() if v is not _TOMBSTONE)
+
+    def _committed(self, key):
+        return self.base.get(key, _TOMBSTONE)
+
+    def _commit(self, layer: dict) -> None:
+        self.base.update(layer)
+
+
+class StorageMap(LayeredMap):
+    """Contract storage: overlays keyed by (address, key), and a committed
+    base nested by address (address -> {key: value}) that holds no tombstones.
+    """
+
+    def _committed(self, key):
+        address, name = key
+        return self.base.get(address, {}).get(name, _TOMBSTONE)
+
+    def _commit(self, layer: dict) -> None:
+        for (address, name), value in layer.items():
+            if value is _TOMBSTONE:
+                self.base.get(address, {}).pop(name, None)
+            else:
+                self.base.setdefault(address, {})[name] = value
+
+    def contract_keys(self, address: bytes, prefix: bytes = b"",
+                      committed_only: bool = False) -> list[bytes]:
+        """One contract's live keys starting with prefix, in sorted order."""
+        merged = dict(self.base.get(address, {}))
+        if not committed_only:
+            for layer in self.layers:
+                merged.update((name, v) for (addr, name), v in layer.items() if addr == address)
+        return sorted(k for k, v in merged.items() if v is not _TOMBSTONE and k.startswith(prefix))
 
 
 @dataclass(frozen=True)
@@ -72,7 +114,7 @@ class WorldState:
         self.balances = LayeredMap()      # account/contract payee id -> int
         self.nonces = LayeredMap()        # account id -> int
         self.contracts = LayeredMap()     # address -> ContractMeta
-        self.storage = LayeredMap()       # (address, key) -> bytes
+        self.storage = StorageMap()       # address -> {key: bytes}
 
     def _maps(self):
         return (self.balances, self.nonces, self.contracts, self.storage)
@@ -136,10 +178,7 @@ class WorldState:
         self.storage.delete((address, key))
 
     def storage_keys(self, address: bytes, prefix: bytes = b"", committed_only: bool = False):
-        return [
-            key for (addr, key) in self.storage.keys(committed_only)
-            if addr == address and key.startswith(prefix)
-        ]
+        return self.storage.contract_keys(address, prefix, committed_only)
 
     # --- digest --------------------------------------------------------
 
@@ -174,10 +213,10 @@ class WorldState:
                 enc_u64(meta.balance),
                 enc_u8(1 if meta.killed else 0),
             ]
-            keys = self.storage_keys(addr, committed_only=True)
-            parts.append(enc_u32(len(keys)))
-            for key in keys:
-                parts += [enc_bytes(key), enc_bytes(self.get_storage(addr, key, committed_only=True))]
+            slots = self.storage.base.get(addr, {})
+            parts.append(enc_u32(len(slots)))
+            for key in sorted(slots):
+                parts += [enc_bytes(key), enc_bytes(slots[key])]
         return digest(b"state:" + b"".join(parts))
 
     def total_supply(self, committed_only: bool = False) -> int:

@@ -252,6 +252,24 @@ def test_watcher_delivers_actuation_once(tmp_path):
     assert action == "valve_open"
 
 
+
+def test_cursor_records_are_flushed_but_not_fsynced(tmp_path, monkeypatch):
+    import thingchain.gateway.journal as journal_module
+
+    synced = []
+    monkeypatch.setattr(journal_module.os, "fsync", synced.append)
+    gw = make_gateway(tmp_path)
+    reg = gw.register_thing("t17", endpoint="sim:t17")
+    assert len(synced) == 1                  # the registration is durable at once
+    gw.allow_requester(reg, "ep:council")
+    _actuate(gw, reg)
+    assert gw.poll_events() == 1
+    assert len(synced) == 1                  # cursor moves are not fsynced
+    # ...but they are written: a second reader sees them while the gateway is open
+    kinds = [r[0] for r in Journal(gw.config.journal_path).records()]
+    assert kinds[0] == "thing" and kinds[1:] and set(kinds[1:]) == {"cursor"}
+    gw.close()
+
 def test_watcher_delivers_notify_to_uri_sink(tmp_path):
     gw = make_gateway(tmp_path)
     node = gw.node

@@ -62,3 +62,12 @@ def test_build_gateway_resumes_from_chain_export(tmp_path):
         assert second.node.state_digest() == first.node.state_digest()
     finally:
         second.close()
+
+
+def test_close_releases_the_transport_socket(tmp_path):
+    gateway = build_gateway(write_config(tmp_path), listen="127.0.0.1:0")
+    sock = gateway.transport._sock
+    assert sock.fileno() != -1
+    gateway.close()
+    assert sock.fileno() == -1
+    gateway.close()                     # a second close is harmless

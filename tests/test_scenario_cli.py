@@ -1,4 +1,5 @@
 import re
+import tempfile
 
 import pytest
 
@@ -213,3 +214,16 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", str(script))
     assert code == 2
     assert "parse error" in err
+
+
+def test_run_without_workdir_leaves_no_directory(tmp_path, monkeypatch):
+    with open(bundled("smart_building.scn"), encoding="utf-8") as fh:
+        text = fh.read()
+    kept = run_scenario_text(text, seed=7, workdir=str(tmp_path))
+    temp_root = tmp_path / "tmp"
+    temp_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+    report = run_scenario_text(text, seed=7)
+    assert list(temp_root.glob("thingchain-*")) == []
+    assert report.exit_code == 0
+    assert report.to_json() == kept.to_json()
