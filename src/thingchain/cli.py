@@ -20,37 +20,13 @@ from .gateway.service import Gateway, GatewayConfig, UdpTransport
 from .keys import Signer
 from .ledger import Node, replay
 from .resolver import audit_trail, resolve
-from .scenario import run_scenario
-from .units import parse_milli
-
-
-def _parse_value(token: str):
-    kind, sep, body = token.partition(":")
-    if not sep:
-        raise ValueError(f"untyped value {token!r} (use str:/hex:/int:/milli:/bool:/acct:)")
-    if kind == "str":
-        return body
-    if kind == "utf8":
-        return body.encode("utf-8")
-    if kind == "hex":
-        return bytes.fromhex(body)
-    if kind == "int":
-        return int(body)
-    if kind == "milli":
-        return parse_milli(body)
-    if kind == "bool":
-        return body == "true"
-    if kind == "acct":
-        return Signer.from_seed(body).account
-    if kind == "addr":
-        return bytes.fromhex(body)
-    raise ValueError(f"unknown value type {kind!r}")
+from .scenario import parse_value, run_scenario
 
 
 def _parse_args_spec(spec: str) -> bytes:
     if not spec:
         return b""
-    return encode_values([_parse_value(tok) for tok in spec.split(",")])
+    return encode_values([parse_value(tok) for tok in spec.split(",")])
 
 
 def _load_node(path) -> Node:
@@ -126,7 +102,7 @@ def cmd_call(args) -> int:
 
 def cmd_read(args) -> int:
     node = _load_node(args.chain)
-    key = _parse_value(args.key)
+    key = parse_value(args.key)
     key = key.encode() if isinstance(key, str) else key
     value = node.read_state(bytes.fromhex(args.target), key)
     if value is None:
@@ -142,7 +118,7 @@ def cmd_read(args) -> int:
 
 def cmd_history(args) -> int:
     node = _load_node(args.chain)
-    key = _parse_value(args.key)
+    key = parse_value(args.key)
     key = key.encode() if isinstance(key, str) else key
     for height, value in node.history(bytes.fromhex(args.target), key):
         rendered = value.hex() if value is not None else "(deleted)"

@@ -1,10 +1,11 @@
 """The gateway: terminates the datagram protocol, custodies Thing keys, turns
 requests into signed transactions and chain events into outbound deliveries.
 
-Things never see key material: every signing key is derived on demand from
-the gateway's master seed and the thing id, and only ids and addresses are
-persisted.  Registrations, the event cursor and dead-lettered deliveries live
-in a checksummed append-only journal, so a restarted gateway resumes without
+Things never see key material: every signing key is derived from the
+gateway's master seed and the thing id when the thing is registered or
+recovered, held in memory only, and only ids and addresses are persisted.
+Registrations, the event cursor and dead-lettered deliveries live in a
+checksummed append-only journal, so a restarted gateway resumes without
 skipping on-chain events (receivers deduplicate by (height, tx_index)).
 """
 
@@ -13,6 +14,8 @@ from __future__ import annotations
 import json
 import socket as socket_module
 import threading
+import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..codec import decode_values, encode_values
@@ -27,6 +30,7 @@ from .journal import Journal
 RETRY_BASE_TICKS = 1
 RETRY_CAP_TICKS = 32
 MAX_DELIVERY_ATTEMPTS = 5
+TRAFFIC_LOG_SIZE = 4096       # most recent datagrams kept in Gateway.traffic
 
 
 @dataclass
@@ -137,10 +141,12 @@ class Gateway:
         self.things: dict[str, ThingRegistration] = {}
         self.cursor = (0, -1)                     # last fully processed (height, tx_index)
         self.dead_letters: list[tuple] = []
-        self.traffic: list[tuple[str, str, bytes]] = [] if record_traffic else None
+        self.traffic: deque[tuple[str, str, bytes]] | None = (
+            deque(maxlen=TRAFFIC_LOG_SIZE) if record_traffic else None)
         self._msg_counter = 0
         self._lock = threading.RLock()
         self._requesters: dict[str, Signer] = {}
+        self._thing_signers: dict[str, Signer] = {}
         try:
             for endpoint, seed in config.requesters.items():
                 _, signer = node.create_account(seed)
@@ -154,15 +160,19 @@ class Gateway:
     # custody
 
     def _thing_signer(self, thing_id: str) -> Signer:
-        return Signer.from_seed(f"{self.config.master_seed}/thing/{thing_id}")
+        return self._thing_signers[thing_id]
+
+    def _create_thing_account(self, thing_id: str) -> Signer:
+        _, signer = self.node.create_account(f"{self.config.master_seed}/thing/{thing_id}")
+        self._thing_signers[thing_id] = signer
+        return signer
 
     def _recover(self) -> None:
         for record in self.journal.records():
             kind = record[0]
             if kind == "thing":
                 _, thing_id, endpoint, sink_uri, feed_addr, act_addr = record
-                account, _ = self.node.create_account(
-                    f"{self.config.master_seed}/thing/{thing_id}")
+                account = self._create_thing_account(thing_id).account
                 self.things[thing_id] = ThingRegistration(
                     thing_id, account, feed_addr, act_addr, endpoint, sink_uri)
             elif kind == "cursor":
@@ -178,8 +188,7 @@ class Gateway:
         with self._lock:
             if thing_id in self.things:
                 raise DuplicateThing(thing_id)
-            account, signer = self.node.create_account(
-                f"{self.config.master_seed}/thing/{thing_id}")
+            signer = self._create_thing_account(thing_id)
             if feed_addr is None:
                 receipt, feed_addr = self.node.deploy(signer, "feed")
                 if not receipt.ok:
@@ -189,7 +198,7 @@ class Gateway:
                 if not receipt.ok:
                     raise ThingChainError(f"actuation deploy reverted: {receipt.reason}")
             self.node.seal_block()
-            reg = ThingRegistration(thing_id, account, feed_addr, actuation_addr,
+            reg = ThingRegistration(thing_id, signer.account, feed_addr, actuation_addr,
                                     endpoint, sink_uri)
             self.things[thing_id] = reg
             self.journal.append("thing", [thing_id, endpoint, sink_uri,
@@ -437,7 +446,9 @@ class Gateway:
         """Blocking UDP loop; also drives the event watcher.
 
         Answers datagrams on the socket bound at construction, including any
-        that arrived before the loop started.  Returns once ``stop_event`` is
+        that arrived before the loop started, and runs poll_events() each
+        time ``poll_interval`` has passed since the last poll, whether or not
+        datagrams kept arriving.  Returns once ``stop_event`` is
         set; the socket stays bound until close(), which must not be called
         while the loop runs.  Raises ``NotListening`` when the gateway was
         built without a listen address or has been closed.
@@ -447,14 +458,19 @@ class Gateway:
             raise NotListening("gateway is closed" if self.config.listen
                                else "gateway has no listen address")
         sock.settimeout(poll_interval)
+        next_poll = time.monotonic() + poll_interval
         while not stop_event.is_set():
             try:
                 data, addr = sock.recvfrom(65535)
             except socket_module.timeout:
+                pass
+            else:
+                reply = self.handle_datagram(data, f"{addr[0]}:{addr[1]}")
+                sock.sendto(reply, addr)
+            now = time.monotonic()
+            if now >= next_poll:
                 self.poll_events()
-                continue
-            reply = self.handle_datagram(data, f"{addr[0]}:{addr[1]}")
-            sock.sendto(reply, addr)
+                next_poll = now + poll_interval
 
     def close(self) -> None:
         """Release the socket, the journal and a transport that has a

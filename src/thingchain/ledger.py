@@ -9,6 +9,7 @@ read_state, history, state digest) always observe the last sealed block.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 
 from .chain import (
     Block,
@@ -121,8 +122,8 @@ class Node:
                 self._seal_locked()
             return receipt
 
-    def _execute_pending(self, tx: Transaction):
-        self._validate(tx)
+    def _execute_pending(self, tx: Transaction, signature_checked: bool = False):
+        self._validate(tx, signature_checked)
         height = len(self.blocks)
         receipt, writes = execute_transaction(
             self.world, self.registry, tx, height, len(self._pending), tick=height,
@@ -131,14 +132,17 @@ class Node:
         self._pending_writes.extend(writes)
         return receipt
 
-    def _validate(self, tx: Transaction) -> None:
+    def _validate(self, tx: Transaction, signature_checked: bool = False) -> None:
+        """Raise the SubmitError that rejects ``tx``.  ``signature_checked``
+        is set only by replay, which has verified the signature already."""
         sender = tx.sender
         known = self.directory.get(sender)
         if known is None:
             raise UnknownSender(sender.hex())
         if known != tx.sender_key:
             raise BadSignature("verification key does not match sender")
-        if not verify_signature(tx.sender_key, tx.signature, tx.signing_bytes()):
+        if not signature_checked and not verify_signature(
+                tx.sender_key, tx.signature, tx.signing_bytes()):
             raise BadSignature("signature does not verify")
         expected = self.world.nonce(sender) + 1
         if tx.nonce != expected:
@@ -257,7 +261,9 @@ class Node:
         """Rebuild a node by re-validating and re-executing a block list.
 
         Raises BrokenChain(height) on any link, hash, signature or
-        re-execution mismatch.
+        re-execution mismatch.  Each transaction's signature is verified
+        once, by one forked worker process that works through the chain
+        while this process re-executes it (see ``_signature_verdicts``).
         """
         node = cls.__new__(cls)
         node._init_from_config(config, registry)
@@ -265,11 +271,14 @@ class Node:
             raise BrokenChain(0, "chain has no genesis block")
         if blocks[0].encode() != node.blocks[0].encode():
             raise BrokenChain(0, "genesis does not match configuration")
-        for expected_height, block in enumerate(blocks[1:], start=1):
-            node._replay_block(expected_height, block)
+        with _signature_verdicts(blocks[1:]) as verdicts:
+            for expected_height, block in enumerate(blocks[1:], start=1):
+                node._replay_block(expected_height, block, verdicts)
         return node
 
-    def _replay_block(self, height: int, block: Block) -> None:
+    def _replay_block(self, height: int, block: Block, verdicts) -> None:
+        """Replay one block; ``verdicts`` yields, in chain order, whether
+        each transaction's signature verifies."""
         if block.height != height:
             raise BrokenChain(height, f"height field says {block.height}")
         if block.prev_hash != self.blocks[-1].block_hash:
@@ -281,11 +290,11 @@ class Node:
         if len(block.receipts) != len(block.txs):
             raise BrokenChain(height, "receipt count != tx count")
         for tx, stored in zip(block.txs, block.receipts):
-            if not verify_signature(tx.sender_key, tx.signature, tx.signing_bytes()):
+            if not next(verdicts):
                 raise BrokenChain(height, "transaction signature does not verify")
             try:
                 self._register_key(tx.sender_key)
-                receipt = self._execute_pending(tx)
+                receipt = self._execute_pending(tx, signature_checked=True)
             except (SubmitError, AccountCollision) as exc:
                 raise BrokenChain(height, str(exc)) from exc
             if receipt.encode() != stored.encode():
@@ -293,6 +302,69 @@ class Node:
         sealed = self.seal_block()
         if sealed.block_hash != block.block_hash:
             raise BrokenChain(height, "re-sealed block hash differs")
+
+
+_VERDICT_CHUNK = 64
+
+
+def _send_verdicts(blocks: list[Block], conn) -> None:
+    """Worker body: verify every transaction's signature in chain order and
+    send the verdicts, one byte each, in chunks of ``_VERDICT_CHUNK``."""
+    verdicts = bytearray()
+    for block in blocks:
+        for tx in block.txs:
+            verdicts.append(verify_signature(tx.sender_key, tx.signature, tx.signing_bytes()))
+            if len(verdicts) == _VERDICT_CHUNK:
+                conn.send_bytes(verdicts)
+                verdicts.clear()
+    if verdicts:
+        conn.send_bytes(verdicts)
+    conn.close()
+
+
+def _receive_verdicts(conn, worker):
+    while True:
+        try:
+            chunk = conn.recv_bytes()
+        except EOFError:       # the worker is gone before its last verdict
+            worker.join()
+            raise ChildProcessError(
+                f"signature worker exited early (exit code {worker.exitcode})") from None
+        yield from chunk
+
+
+@contextmanager
+def _signature_verdicts(blocks: list[Block]):
+    """Yield an iterator over the signature verdicts of ``blocks``'
+    transactions, in chain order, computed by one worker process.
+
+    The worker is forked, so it reads the blocks the caller already decoded
+    instead of receiving a pickled copy, and Ed25519 verification, which
+    holds the interpreter lock, runs on a second CPU while the caller
+    re-executes.  The worker runs nothing but transaction encoding,
+    verification and writes to its pipe.  No worker is started for a chain without transactions.
+    The worker is terminated and joined on return and on any exception; if
+    it dies, reading the next verdict raises ChildProcessError.
+    """
+    if not any(block.txs for block in blocks):
+        yield iter(())
+        return
+    import multiprocessing   # here, so that importing the ledger costs no memory for it
+
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    worker = context.Process(target=_send_verdicts, args=(blocks, sender),
+                             name="thingchain-verify")
+    with receiver:
+        with sender:       # the worker's end stays open only in the worker
+            worker.start()
+        try:
+            yield _receive_verdicts(receiver, worker)
+        finally:
+            worker.terminate()
+            receiver.close()   # a worker that outlives SIGTERM cannot block on a send
+            worker.join()
+            worker.close()
 
 
 def replay(source) -> bytes:

@@ -36,6 +36,38 @@ def _string_seed(text: str) -> int:
     return value
 
 
+_VALUE_PARSERS = {
+    "str": str,
+    "utf8": lambda body: body.encode("utf-8"),
+    "hex": bytes.fromhex,
+    "int": int,
+    "milli": parse_milli,
+    "bool": lambda body: body == "true",
+    "acct": lambda seed: Signer.from_seed(seed).account,
+    "addr": bytes.fromhex,
+}
+
+
+def parse_value(token: str, account=None, address=None):
+    """Parse one typed token, ``kind:body``, into a codec value.
+
+    An acct: body is a seed, or whatever ``account`` maps to an account id;
+    an addr: body is hex, or whatever ``address`` maps to an address.  A
+    token without a known type, or with a malformed body, raises ValueError.
+    """
+    kind, sep, body = token.partition(":")
+    if not sep:
+        raise ValueError(f"untyped value {token!r} (use str:/hex:/int:/milli:/bool:/acct:)")
+    if kind == "acct" and account is not None:
+        return account(body)
+    if kind == "addr" and address is not None:
+        return address(body)
+    parse = _VALUE_PARSERS.get(kind)
+    if parse is None:
+        raise ValueError(f"unknown value type {kind!r}")
+    return parse(body)
+
+
 class SimThing:
     """A simulated sensor/actuator endpoint.
 
@@ -224,28 +256,17 @@ class ScenarioRunner:
         return bytes.fromhex(ref)
 
     def _value_token(self, token: str):
-        kind, sep, body = token.partition(":")
+        """``parse_value`` with @symbols and the run's named accounts; a
+        token without a known type fails the step."""
+        kind, sep, _ = token.partition(":")
         if not sep:
             raise StepFailed(-1, f"untyped value {token!r}")
-        if kind == "str":
-            return body
-        if kind == "utf8":
-            return body.encode("utf-8")
-        if kind == "hex":
-            return bytes.fromhex(body)
-        if kind == "int":
-            return int(body)
-        if kind == "milli":
-            return parse_milli(body)
-        if kind == "bool":
-            return body == "true"
-        if kind == "acct":
-            if body.startswith("@"):
-                return self._address(body)
-            return self._account(body).account
-        if kind == "addr":
-            return self._address(body)
-        raise StepFailed(-1, f"unknown value type {kind!r}")
+        if kind not in _VALUE_PARSERS:
+            raise StepFailed(-1, f"unknown value type {kind!r}")
+        return parse_value(token, account=self._account_id, address=self._address)
+
+    def _account_id(self, ref: str) -> bytes:
+        return self._address(ref) if ref.startswith("@") else self._account(ref).account
 
     def _args(self, spec: str) -> bytes:
         if not spec:
@@ -378,8 +399,7 @@ class ScenarioRunner:
     def _verb_transfer(self, step: Step):
         node = self._require_node()
         sender = self._account(self._need(step, "from"))
-        to = step.kv.get("to", "")
-        target = self._address(to) if to.startswith("@") else self._account(to).account
+        target = self._account_id(step.kv.get("to", ""))
         receipt = node.transfer(sender, target, int(self._need(step, "tokens")))
         node.seal_block()
         self._expect_receipt(step, receipt)

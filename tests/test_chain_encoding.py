@@ -1,10 +1,15 @@
+import gc
+import multiprocessing
+import os
 import random
+import sys
 import threading
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
 
-from thingchain import Node
+from thingchain import Node, ledger
 from thingchain.chain import (
     Block,
     GenesisConfig,
@@ -16,6 +21,7 @@ from thingchain.chain import (
 )
 from thingchain.codec import encode_values
 from thingchain.errors import BrokenChain
+from thingchain.ledger import replay
 
 
 _tx_strategy = st.builds(
@@ -154,3 +160,87 @@ def test_concurrent_readers_see_only_sealed_state(node, alice, bob):
     for t in threads:
         t.join()
     assert errors == []
+
+
+def _feed_chain(node, signer, pushes, per_block):
+    """A chain of `pushes` feed pushes, `per_block` to a block, with a sealed
+    empty block after the first."""
+    _, feed = node.deploy(signer, "feed")
+    node.seal_block()
+    node.seal_block()
+    for i in range(pushes):
+        node.call(signer, feed, "push", encode_values([i, "C", node.height + 1]))
+        if i % per_block == per_block - 1:
+            node.seal_block()
+    node.seal_block()
+
+
+def test_each_signature_verified_once_live_and_on_replay(node, alice, monkeypatch):
+    """The live path verifies every signature it submits, and a replay
+    verifies each one exactly once, counted across the replay's processes."""
+    calls = multiprocessing.Value("i", 0)
+    real_verify = ledger.verify_signature
+
+    def counting_verify(*args):
+        with calls.get_lock():
+            calls.value += 1
+        return real_verify(*args)
+
+    monkeypatch.setattr(ledger, "verify_signature", counting_verify)
+    _feed_chain(node, alice, pushes=150, per_block=7)
+    txs = sum(len(block.txs) for block in node.blocks)
+    assert txs == 151 and calls.value == txs
+    calls.value = 0
+    assert replay(node.export_bytes()) == node.state_digest()
+    assert calls.value == txs
+    assert multiprocessing.active_children() == []
+
+
+def test_forged_signature_in_a_middle_block(node, alice):
+    _feed_chain(node, alice, pushes=200, per_block=10)
+    config, blocks = load_chain(node.export_bytes())
+    victim = blocks[12]
+    assert victim.height == 12 and len(victim.txs) == 10
+    txs = list(victim.txs)
+    tx = txs[6]
+    txs[6] = Transaction(tx.sender_key, tx.nonce, tx.target, tx.method,
+                         tx.args, tx.tokens, bytes(64))
+    forged = Block.seal(victim.height, victim.prev_hash, victim.timestamp,
+                        tuple(txs), victim.receipts)
+    with pytest.raises(BrokenChain) as info:
+        replay((config, blocks[:12] + [forged] + blocks[13:]))
+    assert info.value.height == 12
+    assert info.value.detail == "transaction signature does not verify"
+    assert multiprocessing.active_children() == []
+
+
+def test_replay_leaves_no_process_or_unclosed_resource(node, alice, monkeypatch):
+    _feed_chain(node, alice, pushes=80, per_block=5)
+    export = node.export_bytes()
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert replay(export) == node.state_digest()
+        assert replay(dump_chain(node.config, node.blocks[:1])) == Node(
+            dict(node.config.alloc)).state_digest()
+        with pytest.raises(BrokenChain):
+            replay((node.config, node.blocks[:4] + node.blocks[5:]))
+        gc.collect()
+    assert unraisable == []
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_signature_worker_raises(node, alice, monkeypatch):
+    replaying = os.getpid()
+
+    def die_in_worker(*args):
+        if os.getpid() != replaying:
+            os._exit(3)
+        return True
+
+    _feed_chain(node, alice, pushes=20, per_block=4)
+    monkeypatch.setattr(ledger, "verify_signature", die_in_worker)
+    with pytest.raises(ChildProcessError, match="exit code 3"):
+        replay(node.export_bytes())
+    assert multiprocessing.active_children() == []

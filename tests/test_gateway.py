@@ -417,3 +417,66 @@ def test_socket_lifecycle_errors(tmp_path):
     bound.close()
     with pytest.raises(NotListening):
         bound.serve(threading.Event())
+
+
+def test_watcher_delivers_during_a_steady_put_stream(tmp_path):
+    """An authorised POST's event reaches the transport within a few poll
+    intervals while PUTs keep arriving about every 15 ms."""
+    client = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    client.bind(("127.0.0.1", 0))
+    client.settimeout(2)
+    client_endpoint = "127.0.0.1:%d" % client.getsockname()[1]
+    council = Signer.from_seed("council")
+    config = GatewayConfig(master_seed="gw-master", journal_path=str(tmp_path / "gw.journal"),
+                           listen="127.0.0.1:0", requesters={client_endpoint: "council"})
+    gw = Gateway(Node({council.account: 100}), config)
+    reg = gw.register_thing("t17", endpoint="sim:t17")
+    gw.allow_requester(reg, client_endpoint)
+    host, port = gw.address.rsplit(":", 1)
+    server = (host, int(port))
+    poll_interval = 0.05
+    stop = threading.Event()
+    thread = threading.Thread(target=gw.serve, args=(stop, poll_interval), daemon=True)
+    thread.start()
+
+    def request(msg):
+        client.sendto(msg.encode(), server)
+        return wire.decode_message(client.recvfrom(65535)[0])
+
+    try:
+        post = wire.request(wire.POST, 1, "/things/t17/actuate",
+                            encode_values(["valve_open", b"50"]))
+        assert request(post).msg_type == wire.MSG_ACK
+        posted = time.monotonic()
+        delivered_after = None
+        for msg_id in range(2, 102):                      # about 1.5 s of PUTs
+            put = wire.request(wire.PUT, msg_id, "/things/t17/data",
+                               encode_values([msg_id, "C"]))
+            assert request(put).msg_type == wire.MSG_ACK
+            if gw.transport.datagrams:
+                delivered_after = time.monotonic() - posted
+                break
+            time.sleep(0.015)
+    finally:
+        stop.set()
+        thread.join(timeout=3)
+        client.close()
+        gw.close()
+    assert not thread.is_alive()
+    assert delivered_after is not None, "no event delivered during the PUT stream"
+    assert delivered_after < 5 * poll_interval
+    (endpoint, data), = gw.transport.datagrams
+    assert endpoint == "sim:t17"
+    assert decode_values(wire.decode_message(data).payload)[3] == "valve_open"
+
+
+def test_traffic_log_stays_at_its_bound(tmp_path):
+    from thingchain.gateway.service import TRAFFIC_LOG_SIZE
+
+    gw = make_gateway(tmp_path)
+    for msg_id in range(TRAFFIC_LOG_SIZE):      # a request and a reply each
+        gw.handle_datagram(b"\x00", f"sim:{msg_id}")
+    assert len(gw.traffic) == TRAFFIC_LOG_SIZE
+    assert gw.traffic[0][:2] == ("in", f"sim:{TRAFFIC_LOG_SIZE // 2}")
+    assert gw.traffic[-1][:2] == ("out", f"sim:{TRAFFIC_LOG_SIZE - 1}")
+    gw.close()
