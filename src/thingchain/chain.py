@@ -10,11 +10,9 @@ Wire rules that keep replay self-contained:
 
 from __future__ import annotations
 
-import io
-import zlib
 from dataclasses import dataclass
 
-from .codec import Reader, enc_bytes, enc_str, enc_u8, enc_u32, enc_u64
+from .codec import Reader, enc_bytes, enc_str, enc_u8, enc_u32, enc_u64, frame
 from .errors import BrokenChain, DecodeError
 from .keys import ALGORITHM, DIGEST_SIZE, account_id, digest
 
@@ -251,53 +249,31 @@ def genesis_block(config: GenesisConfig) -> Block:
 
 
 # ---------------------------------------------------------------------------
-# Chain export files: magic, config record, then one length-prefixed block per
-# record, each guarded by a crc32 so a flipped byte is always detected before
-# hash verification even runs.
+# Chain export files: magic, config record, then one block per record, each a
+# ``codec.frame`` whose checksum catches a flipped byte before hash
+# verification even runs.
 
 CHAIN_MAGIC = b"TCHN\x01"
 
 
-def _frame(payload: bytes) -> bytes:
-    return enc_u32(len(payload)) + payload + enc_u32(zlib.crc32(payload))
-
-
-def _read_frame(buf: io.BytesIO, height_hint: int) -> bytes:
-    head = buf.read(4)
-    if len(head) != 4:
-        raise BrokenChain(height_hint, "truncated frame header")
-    size = int.from_bytes(head, "big")
-    payload = buf.read(size)
-    tail = buf.read(4)
-    if len(payload) != size or len(tail) != 4:
-        raise BrokenChain(height_hint, "truncated frame body")
-    if zlib.crc32(payload) != int.from_bytes(tail, "big"):
-        raise BrokenChain(height_hint, "frame checksum mismatch")
-    return payload
-
-
 def dump_chain(config: GenesisConfig, blocks) -> bytes:
-    out = [CHAIN_MAGIC, _frame(config.encode())]
-    out.extend(_frame(block.encode()) for block in blocks)
+    out = [CHAIN_MAGIC, frame(config.encode())]
+    out.extend(frame(block.encode()) for block in blocks)
     return b"".join(out)
 
 
 def load_chain(data: bytes) -> tuple[GenesisConfig, list]:
-    """Parse an export; framing faults surface as BrokenChain at the failing
-    block height (the config record counts as height 0)."""
-    buf = io.BytesIO(data)
-    if buf.read(len(CHAIN_MAGIC)) != CHAIN_MAGIC:
+    """Parse an export; framing and decoding faults surface as BrokenChain at
+    the failing block height (the config record counts as height 0)."""
+    if not data.startswith(CHAIN_MAGIC):
         raise BrokenChain(0, "bad chain file magic")
-    try:
-        config = GenesisConfig.decode(_read_frame(buf, 0))
-    except DecodeError as exc:
-        raise BrokenChain(0, f"bad genesis config: {exc}") from exc
+    r = Reader(data)
+    r.take(len(CHAIN_MAGIC))
     blocks = []
-    while buf.tell() < len(data):
-        height_hint = len(blocks)
-        payload = _read_frame(buf, height_hint)
-        try:
-            blocks.append(Block.decode(payload))
-        except DecodeError as exc:
-            raise BrokenChain(height_hint, f"undecodable block: {exc}") from exc
+    try:
+        config = GenesisConfig.decode(r.frame())
+        while not r.exhausted:
+            blocks.append(Block.decode(r.frame()))
+    except DecodeError as exc:
+        raise BrokenChain(len(blocks), str(exc)) from exc
     return config, blocks

@@ -149,16 +149,6 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def cmd_kill(args) -> int:
-    node = _load_node(args.chain)
-    _, signer = node.create_account(args.caller_seed)
-    receipt = node.call(signer, bytes.fromhex(args.target), "kill")
-    node.seal_block()
-    node.export_chain(args.chain)
-    _print_receipt(receipt)
-    return 0 if receipt.ok else 1
-
-
 def cmd_export_chain(args) -> int:
     node = _load_node(args.chain)
     data = node.export_bytes()
@@ -277,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--caller-seed", required=True)
-    p.set_defaults(fn=cmd_kill)
+    p.set_defaults(fn=cmd_call, method="kill", args="", tokens=0)
 
     p = sub.add_parser("export-chain", help="re-export the chain and print its digest")
     p.add_argument("--chain", required=True)

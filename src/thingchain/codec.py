@@ -1,5 +1,6 @@
 """Canonical byte encoding used for transactions, blocks, state digests and
-contract call arguments.
+contract call arguments, and the checksummed record format of the files that
+outlive a process.
 
 Every field is length-prefixed (or fixed width) and concatenated in declared
 order, so distinct inputs never produce identical byte strings.  All integers
@@ -9,6 +10,7 @@ are big-endian.
 from __future__ import annotations
 
 import struct
+import zlib
 
 from .errors import DecodeError
 
@@ -59,6 +61,12 @@ def enc_str(s: str) -> bytes:
     return enc_bytes(s.encode("utf-8"))
 
 
+def frame(payload: bytes) -> bytes:
+    """One checksummed record, ``u32 length | payload | u32 crc32(payload)``,
+    as the chain export and the gateway journal store them."""
+    return enc_bytes(payload) + enc_u32(zlib.crc32(payload))
+
+
 class Reader:
     """Sequential decoder over a byte string; raises DecodeError on underrun."""
 
@@ -90,6 +98,15 @@ class Reader:
 
     def bytes_(self) -> bytes:
         return self.take(self.u32())
+
+    def frame(self) -> bytes:
+        """The payload of one record written by ``frame``; DecodeError when
+        the record is truncated or fails its checksum."""
+        start = self.pos
+        payload = self.bytes_()
+        if self.u32() != zlib.crc32(payload):
+            raise DecodeError(f"frame checksum mismatch at offset {start}")
+        return payload
 
     def str_(self) -> str:
         raw = self.bytes_()

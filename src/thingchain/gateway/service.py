@@ -30,7 +30,9 @@ from .journal import Journal
 RETRY_BASE_TICKS = 1
 RETRY_CAP_TICKS = 32
 MAX_DELIVERY_ATTEMPTS = 5
-TRAFFIC_LOG_SIZE = 4096       # most recent datagrams kept in Gateway.traffic
+TRAFFIC_LOG_SIZE = 4096       # most recent entries kept in Gateway.traffic and
+                              # UdpTransport.uri_payloads
+DEAD_LETTER_LIMIT = 1024      # most recent undeliverable events kept in Gateway.dead_letters
 
 
 @dataclass
@@ -96,7 +98,7 @@ class UdpTransport:
 
     def __init__(self):
         self._sock = socket_module.socket(socket_module.AF_INET, socket_module.SOCK_DGRAM)
-        self.uri_payloads: list[tuple[str, bytes]] = []
+        self.uri_payloads: deque[tuple[str, bytes]] = deque(maxlen=TRAFFIC_LOG_SIZE)
 
     def deliver_datagram(self, endpoint: str, data: bytes) -> None:
         host, port = endpoint.rsplit(":", 1)
@@ -178,7 +180,7 @@ class Gateway:
             elif kind == "cursor":
                 self.cursor = (record[1], record[2])
             elif kind == "dead":
-                self.dead_letters.append(tuple(record[1:]))
+                self._dead_letter(tuple(record[1:]))
 
     def register_thing(self, thing_id: str, endpoint: str = "", sink_uri: str = "",
                        feed_addr: bytes | None = None,
@@ -340,22 +342,32 @@ class Gateway:
         self._msg_counter = (self._msg_counter + 1) & 0xFFFF
         return self._msg_counter
 
-    def _deliver_with_retry(self, describe: tuple, send) -> bool:
+    def _dead_letter(self, entry: tuple) -> None:
+        """Keep the newest DEAD_LETTER_LIMIT entries; the list is trimmed in
+        place, so holders of ``dead_letters`` see the same list."""
+        self.dead_letters.append(entry)
+        del self.dead_letters[:-DEAD_LETTER_LIMIT]
+
+    def _deliver_with_retry(self, describe: tuple, destination: str, data: bytes,
+                            deliver) -> int:
+        """Call ``deliver(destination, data)`` until it returns, with capped
+        exponential backoff; returns 1, or 0 once the event is dead-lettered."""
         backoff = RETRY_BASE_TICKS
         for attempt in range(1, MAX_DELIVERY_ATTEMPTS + 1):
             try:
-                send()
-                return True
+                if self.traffic is not None:
+                    self.traffic.append(("watch", destination, data))
+                deliver(destination, data)
+                return 1
             except Exception as exc:
                 if attempt == MAX_DELIVERY_ATTEMPTS:
                     entry = (*describe, f"{type(exc).__name__}: {exc}")
-                    self.dead_letters.append(entry)
+                    self._dead_letter(entry)
                     self.journal.append("dead", list(entry))
-                    return False
+                    return 0
                 if self.sleep_fn is not None:
                     self.sleep_fn(backoff)
                 backoff = min(backoff * 2, RETRY_CAP_TICKS)
-        return False
 
     def poll_events(self) -> int:
         """Process newly sealed events once; returns the delivery count.
@@ -402,15 +414,8 @@ class Gateway:
         payload = encode_values([event.height, event.tx_index, intra, action, args, caller])
         datagram = wire.request(wire.POST, self._next_msg_id(),
                                 f"/things/{reg.thing_id}/event", payload).encode()
-
-        def send():
-            if self.traffic is not None:
-                self.traffic.append(("watch", reg.endpoint, datagram))
-            self.transport.deliver_datagram(reg.endpoint, datagram)
-
-        ok = self._deliver_with_retry(
-            (event.height, event.tx_index, "actuate", reg.thing_id), send)
-        return 1 if ok else 0
+        return self._deliver_with_retry((event.height, event.tx_index, "actuate", reg.thing_id),
+                                        reg.endpoint, datagram, self.transport.deliver_datagram)
 
     def _deliver_notification(self, event, intra: int) -> int:
         """Returns deliveries (0/1), or -1 when the sink is on-chain only."""
@@ -421,14 +426,8 @@ class Gateway:
             return -1
         uri = sink.decode("utf-8", "replace")
         payload = encode_values([event.height, event.tx_index, intra, sub_id, path, body])
-
-        def send():
-            if self.traffic is not None:
-                self.traffic.append(("watch", uri, payload))
-            self.transport.deliver_uri(uri, payload)
-
-        ok = self._deliver_with_retry((event.height, event.tx_index, "notify", uri), send)
-        return 1 if ok else 0
+        return self._deliver_with_retry((event.height, event.tx_index, "notify", uri),
+                                        uri, payload, self.transport.deliver_uri)
 
     # ------------------------------------------------------------------
     # serving

@@ -345,6 +345,8 @@ class ScenarioRunner:
         handler = getattr(self, "_verb_" + step.verb.replace("-", "_"), None)
         if handler is None:
             raise StepFailed(step.index, f"unknown verb {step.verb!r}")
+        if step.verb not in ("account", "requester"):
+            self._require_node()    # genesis accounts exist before a step parses its values
         try:
             return handler(step)
         except StepFailed as exc:
@@ -365,6 +367,18 @@ class ScenarioRunner:
         name = step.kv.get("as")
         if name:
             self.symbols[name] = value
+
+    def _call(self, step: Step, target_key: str, method: str, args: bytes = b"",
+              tokens: int = 0):
+        """Call ``method`` on the contract named by ``target_key`` as the
+        step's caller=, seal, and check the receipt against expect=."""
+        node = self._require_node()
+        caller = self._account(self._need(step, "caller"))
+        target = self._address(self._need(step, target_key))
+        receipt = node.call(caller, target, method, args, tokens)
+        node.seal_block()
+        self._expect_receipt(step, receipt)
+        return receipt
 
     def _expect_receipt(self, step: Step, receipt) -> None:
         self.last_receipt = receipt
@@ -420,41 +434,24 @@ class ScenarioRunner:
         return "", receipt
 
     def _verb_call(self, step: Step):
-        node = self._require_node()
-        caller = self._account(self._need(step, "caller"))
-        target = self._address(self._need(step, "target"))
-        method = self._need(step, "method")
-        args = self._args(step.kv.get("args", ""))
-        tokens = int(step.kv.get("tokens", "0"))
-        receipt = node.call(caller, target, method, args, tokens)
-        node.seal_block()
-        self._expect_receipt(step, receipt)
-        if receipt.ok and step.kv.get("as"):
+        receipt = self._call(step, "target", self._need(step, "method"),
+                             self._args(step.kv.get("args", "")),
+                             int(step.kv.get("tokens", "0")))
+        if receipt.ok:
             self._bind(step, receipt.return_value)
         return "", receipt
 
     def _verb_kill(self, step: Step):
-        node = self._require_node()
-        caller = self._account(self._need(step, "caller"))
-        target = self._address(self._need(step, "target"))
-        receipt = node.call(caller, target, "kill")
-        node.seal_block()
-        self._expect_receipt(step, receipt)
-        return "", receipt
+        return "", self._call(step, "target", "kill")
 
     # --- stdlib sugar -------------------------------------------------------
 
     def _verb_push(self, step: Step):
         node = self._require_node()
-        caller = self._account(self._need(step, "caller"))
-        feed = self._address(self._need(step, "feed"))
         value = parse_milli(self._need(step, "value"))
         unit = step.kv.get("unit", "C")
         tick = int(step.kv.get("tick", str(node.height + 1)))
-        receipt = node.call(caller, feed, "push", encode_values([value, unit, tick]))
-        node.seal_block()
-        self._expect_receipt(step, receipt)
-        return "", receipt
+        return "", self._call(step, "feed", "push", encode_values([value, unit, tick]))
 
     def _verb_pushes(self, step: Step):
         """Batch: submit `count` walk measurements, then seal one block."""
@@ -492,9 +489,6 @@ class ScenarioRunner:
         return f"{count} pushes batched into block {block.height}", None
 
     def _verb_subscribe(self, step: Step):
-        node = self._require_node()
-        caller = self._account(self._need(step, "caller"))
-        topic = self._address(self._need(step, "topic"))
         pattern = self._need(step, "pattern")
         sink_spec = self._need(step, "sink")
         kind, _, body = sink_spec.partition(":")
@@ -504,47 +498,32 @@ class ScenarioRunner:
             sink_kind, sink = SINK_ADDRESS, self._address(body)
         else:
             raise StepFailed(step.index, f"bad sink {sink_spec!r}")
-        receipt = node.call(caller, topic, "subscribe",
-                            encode_values([pattern, sink_kind, sink]))
-        node.seal_block()
-        self._expect_receipt(step, receipt)
-        if receipt.ok:
-            sub_id = int.from_bytes(receipt.return_value, "big")
-            if step.kv.get("as"):
-                self.symbols[step.kv["as"]] = sub_id
-            return f"subscription {sub_id}", receipt
-        return "", receipt
+        receipt = self._call(step, "topic", "subscribe", encode_values([pattern, sink_kind, sink]))
+        if not receipt.ok:
+            return "", receipt
+        sub_id = int.from_bytes(receipt.return_value, "big")
+        self._bind(step, sub_id)
+        return f"subscription {sub_id}", receipt
 
     def _verb_unsubscribe(self, step: Step):
-        node = self._require_node()
-        caller = self._account(self._need(step, "caller"))
-        topic = self._address(self._need(step, "topic"))
         sub = self._symbol(self._need(step, "sub"))
-        receipt = node.call(caller, topic, "unsubscribe", encode_values([int(sub)]))
-        node.seal_block()
-        self._expect_receipt(step, receipt)
-        return "", receipt
+        return "", self._call(step, "topic", "unsubscribe", encode_values([int(sub)]))
 
     def _verb_publish(self, step: Step):
-        node = self._require_node()
-        caller = self._account(self._need(step, "caller"))
-        topic = self._address(self._need(step, "topic"))
         path = self._need(step, "path")
         payload = self._value_token(self._need(step, "payload"))
         if isinstance(payload, str):
             payload = payload.encode()
         if not isinstance(payload, bytes):
             raise StepFailed(step.index, "payload must be str: or hex:")
-        receipt = node.call(caller, topic, "publish", encode_values([path, payload]))
-        node.seal_block()
-        self._expect_receipt(step, receipt)
-        if receipt.ok:
-            notified = int.from_bytes(receipt.return_value, "big")
-            want = step.kv.get("expect_notified")
-            if want is not None and notified != int(want):
-                raise StepFailed(step.index, f"notified {notified}, expected {want}")
-            return f"notified {notified}", receipt
-        return "", receipt
+        receipt = self._call(step, "topic", "publish", encode_values([path, payload]))
+        if not receipt.ok:
+            return "", receipt
+        notified = int.from_bytes(receipt.return_value, "big")
+        want = step.kv.get("expect_notified")
+        if want is not None and notified != int(want):
+            raise StepFailed(step.index, f"notified {notified}, expected {want}")
+        return f"notified {notified}", receipt
 
     def _verb_actuate(self, step: Step):
         node = self._require_node()
@@ -565,8 +544,6 @@ class ScenarioRunner:
 
     def _verb_escrow_commit(self, step: Step):
         node = self._require_node()
-        caller = self._account(self._need(step, "caller"))
-        escrow = self._address(self._need(step, "escrow"))
         provider = self._value_token("acct:" + self._need(step, "provider"))
         tokens = int(self._need(step, "tokens"))
         deadline_spec = self._need(step, "deadline")
@@ -574,26 +551,16 @@ class ScenarioRunner:
             deadline = node.height + 1 + int(deadline_spec[1:])
         else:
             deadline = int(deadline_spec)
-        receipt = node.call(caller, escrow, "commit",
-                            encode_values([provider, deadline]), tokens=tokens)
-        node.seal_block()
-        self._expect_receipt(step, receipt)
-        if receipt.ok:
-            deal = int.from_bytes(receipt.return_value, "big")
-            if step.kv.get("as"):
-                self.symbols[step.kv["as"]] = deal
-            return f"deal {deal}, deadline height {deadline}", receipt
-        return "", receipt
+        receipt = self._call(step, "escrow", "commit", encode_values([provider, deadline]), tokens)
+        if not receipt.ok:
+            return "", receipt
+        deal = int.from_bytes(receipt.return_value, "big")
+        self._bind(step, deal)
+        return f"deal {deal}, deadline height {deadline}", receipt
 
     def _settle(self, step: Step, method: str):
-        node = self._require_node()
-        caller = self._account(self._need(step, "caller"))
-        escrow = self._address(self._need(step, "escrow"))
         deal = self._symbol(self._need(step, "deal"))
-        receipt = node.call(caller, escrow, method, encode_values([int(deal)]))
-        node.seal_block()
-        self._expect_receipt(step, receipt)
-        return "", receipt
+        return "", self._call(step, "escrow", method, encode_values([int(deal)]))
 
     def _verb_escrow_confirm(self, step: Step):
         return self._settle(step, "confirm")

@@ -374,9 +374,10 @@ def _fresh_gateway(tmp_path, tag: str):
     return Gateway(node, config)
 
 
-def test_criterion_8_gateway_soundness(tmp_path):
+def test_criterion_8_gateway_soundness(tmp_path, request):
     rng = random.Random(8888)
     gw = _fresh_gateway(tmp_path, "soundness")
+    request.addfinalizer(gw.close)
     regs = [gw.register_thing(f"t{i}", endpoint=f"sim:t{i}") for i in range(3)]
     gw.allow_requester(regs[0], "ep:council")
     base_txs = sum(len(b.txs) for b in gw.node.blocks) + gw.node.pending_count
@@ -476,6 +477,7 @@ def test_criterion_8_gateway_soundness(tmp_path):
     crash_gw.poll_events()
     crash_gw.close()                    # crash; journal survives
     successor = Gateway(node, crash_gw.config)
+    request.addfinalizer(successor.close)
     actuate(successor, "a3")
     successor.poll_events()
     received = {}

@@ -69,6 +69,35 @@ def test_chain_file_roundtrip(node, alice, bob):
     assert [b.encode() for b in blocks] == [b.encode() for b in node.blocks]
 
 
+def test_truncated_export_loads_whole_blocks_or_breaks_at_the_cut_one(node, alice, bob):
+    """Each record is u32 length | payload | u32 checksum.  A cut on a record
+    boundary loads the blocks before it; any other cut raises BrokenChain at
+    the height of the block it falls in (the config record counts as 0)."""
+    for i in range(4):
+        node.transfer(alice, bob.account, i + 1)
+        node.seal_block()
+    export = node.export_bytes()
+    ends = [len(b"TCHN\x01") + 8 + len(node.config.encode())]   # end of each record
+    for block in node.blocks:
+        ends.append(ends[-1] + 8 + len(block.encode()))
+    assert ends[-1] == len(export)
+    for cut in range(len(export)):
+        whole = sum(end <= cut for end in ends[1:])              # blocks wholly before the cut
+        if cut in ends:
+            config, blocks = load_chain(export[:cut])
+            assert config == node.config
+            assert blocks == node.blocks[:whole]
+        else:
+            with pytest.raises(BrokenChain) as info:
+                load_chain(export[:cut])
+            assert info.value.height == whole, cut
+    damaged = bytearray(export)
+    damaged[-5] ^= 0x01                  # in the last block's hash: decodes, fails the checksum
+    with pytest.raises(BrokenChain) as info:
+        load_chain(bytes(damaged))
+    assert info.value.height == len(node.blocks) - 1
+
+
 def test_replay_rejects_forged_signature(node, alice, bob):
     """A block whose hashes are recomputed around a bad signature still fails
     verification at the signature check."""

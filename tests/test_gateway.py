@@ -9,6 +9,15 @@ from thingchain.codec import decode_values, encode_values
 from thingchain.errors import DuplicateThing, NotListening
 from thingchain.gateway import Gateway, GatewayConfig, Journal, wire
 
+_made = []    # gateways built by make_gateway, closed when their test ends
+
+
+@pytest.fixture(autouse=True)
+def _close_made_gateways():
+    yield
+    while _made:
+        _made.pop().close()
+
 
 def make_gateway(tmp_path, node=None, **config_overrides):
     if node is None:
@@ -20,7 +29,9 @@ def make_gateway(tmp_path, node=None, **config_overrides):
         requesters={"ep:council": "council", "ep:auditor": "auditor"},
         **config_overrides,
     )
-    return Gateway(node, config)
+    gateway = Gateway(node, config)
+    _made.append(gateway)
+    return gateway
 
 
 def put_data(gateway, thing_id, milli, unit="C", tick=None, msg_id=1, source=None):
@@ -227,6 +238,40 @@ def test_journal_checksum_rejects_corruption(tmp_path):
     assert Journal(tmp_path / "j").records() == []
 
 
+def test_journal_record_bytes(tmp_path):
+    journal = Journal(tmp_path / "j")
+    journal.append("cursor", [5, 2])
+    journal.close()
+    assert (tmp_path / "j").read_bytes() == bytes.fromhex(
+        "00000021"                                    # payload length
+        "00000003" "01" "00000006" "637572736f72"     # 3 values: str "cursor"
+        "02" "0000000000000005" "02" "0000000000000002"   # int 5, int 2
+        "c126db26")                                   # crc32 of the payload
+    damaged = bytearray((tmp_path / "j").read_bytes())
+    damaged[-5] ^= 0x01                  # int 2 -> 3: still decodes, fails the checksum
+    (tmp_path / "j").write_bytes(bytes(damaged))
+    assert Journal(tmp_path / "j").records() == []
+
+
+def test_truncated_journal_keeps_the_records_before_the_cut(tmp_path):
+    appended = [["thing", "t1", "sim:t1", "coap://sink", b"\x01" * 32, b"\x02" * 32],
+                ["cursor", 4, 0], ["dead", 4, 0, "notify", "coap://sink", "OSError: x"],
+                ["cursor", 9, 3]]
+    journal = Journal(tmp_path / "j")
+    for kind, *values in appended:
+        journal.append(kind, values, sync=False)
+    journal.close()
+    data = (tmp_path / "j").read_bytes()
+    ends = []
+    for record in appended:
+        ends.append((ends[-1] if ends else 0) + 8 + len(encode_values(record)))
+    assert ends[-1] == len(data)
+    for cut in range(len(data) + 1):
+        (tmp_path / "cut").write_bytes(data[:cut])
+        whole = sum(end <= cut for end in ends)
+        assert Journal(tmp_path / "cut").records() == appended[:whole], cut
+
+
 # --- event watcher -----------------------------------------------------------
 
 def _actuate(gw, reg, action="valve_open", source="ep:council"):
@@ -372,6 +417,7 @@ def test_udp_round_trip(tmp_path):
     finally:
         stop.set()
         thread.join(timeout=3)
+        client.close()
 
 
 def test_datagram_sent_before_serve_is_answered(tmp_path):
@@ -480,3 +526,32 @@ def test_traffic_log_stays_at_its_bound(tmp_path):
     assert gw.traffic[0][:2] == ("in", f"sim:{TRAFFIC_LOG_SIZE // 2}")
     assert gw.traffic[-1][:2] == ("out", f"sim:{TRAFFIC_LOG_SIZE - 1}")
     gw.close()
+
+
+def test_uri_deliveries_and_dead_letters_stay_at_their_bounds(tmp_path, monkeypatch):
+    from thingchain.gateway import service
+    from thingchain.gateway.service import TRAFFIC_LOG_SIZE, UdpTransport
+
+    transport = UdpTransport()
+    try:
+        for n in range(TRAFFIC_LOG_SIZE + 5):
+            transport.deliver_uri(f"coap://sink/{n}", b"")
+        assert len(transport.uri_payloads) == TRAFFIC_LOG_SIZE
+        assert transport.uri_payloads[0][0] == "coap://sink/5"
+    finally:
+        transport.close()
+
+    monkeypatch.setattr(service, "DEAD_LETTER_LIMIT", 3)
+    gw = make_gateway(tmp_path)
+    reg = gw.register_thing("t17", endpoint="sim:t17")
+    gw.allow_requester(reg, "ep:council")
+    held = gw.dead_letters
+    gw.transport.fail_remaining["sim:t17"] = 10**6     # every attempt fails
+    for n in range(5):
+        _actuate(gw, reg, action=f"a{n}")
+        assert gw.poll_events() == 0
+    assert gw.dead_letters is held and len(held) == 3
+    newest = [entry[:2] for entry in held]
+    gw.close()
+    successor = make_gateway(tmp_path, node=gw.node)      # recovery trims too
+    assert [entry[:2] for entry in successor.dead_letters] == newest

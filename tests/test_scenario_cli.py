@@ -85,6 +85,16 @@ def test_failed_assert_aborts_with_nonzero_exit():
     assert report.steps[-1].status == "failed"
 
 
+def test_first_call_may_name_genesis_accounts_in_its_args():
+    """The genesis accounts exist before the first step parses its values."""
+    report = run_scenario_text(
+        "account name=alice tokens=5\n"
+        f"call caller=alice target={'00' * 32} method=x args=acct:alice expect=reverted\n",
+        seed=1)
+    assert report.exit_code == 0, report.failure
+    assert report.tx_count == 1
+
+
 def test_same_seed_same_digest_and_receipts():
     first = run_scenario_text(ECHO_SCRIPT, seed=5)
     second = run_scenario_text(ECHO_SCRIPT, seed=5)
