@@ -26,6 +26,17 @@ STATUS_OK = "ok"
 STATUS_REVERTED = "reverted"
 
 
+def _signing_bytes(sender_key: bytes, nonce: int, target: bytes | None, method: str,
+                   args: bytes, tokens: int) -> bytes:
+    """The canonical encoding of a transaction's fields, which its signature covers."""
+    if target is None:
+        target_part = enc_u8(_TARGET_DEPLOY)
+    else:
+        target_part = enc_u8(_TARGET_ADDRESS) + target
+    return b"".join([enc_bytes(sender_key), enc_u64(nonce), target_part, enc_str(method),
+                     enc_bytes(args), enc_u64(tokens)])
+
+
 @dataclass(frozen=True)
 class Transaction:
     sender_key: bytes        # Ed25519 verification key (32 bytes)
@@ -41,19 +52,8 @@ class Transaction:
         return account_id(self.sender_key)
 
     def signing_bytes(self) -> bytes:
-        parts = [
-            enc_bytes(self.sender_key),
-            enc_u64(self.nonce),
-        ]
-        if self.target is None:
-            parts.append(enc_u8(_TARGET_DEPLOY))
-        else:
-            parts.append(enc_u8(_TARGET_ADDRESS))
-            parts.append(self.target)
-        parts.append(enc_str(self.method))
-        parts.append(enc_bytes(self.args))
-        parts.append(enc_u64(self.tokens))
-        return b"".join(parts)
+        return _signing_bytes(self.sender_key, self.nonce, self.target, self.method,
+                              self.args, self.tokens)
 
     def encode(self) -> bytes:
         return self.signing_bytes() + enc_bytes(self.signature)
@@ -96,11 +96,9 @@ def make_transaction(
     tokens: int = 0,
 ) -> Transaction:
     """Build and sign a transaction over the canonical encoding."""
-    tx = Transaction(signer.verify_key_bytes, nonce, target, method, args, tokens)
-    return Transaction(
-        tx.sender_key, tx.nonce, tx.target, tx.method, tx.args, tx.tokens,
-        signer.sign(tx.signing_bytes()),
-    )
+    key = signer.verify_key_bytes
+    signature = signer.sign(_signing_bytes(key, nonce, target, method, args, tokens))
+    return Transaction(key, nonce, target, method, args, tokens, signature)
 
 
 @dataclass(frozen=True)

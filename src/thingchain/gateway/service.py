@@ -15,13 +15,14 @@ import json
 import socket as socket_module
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from ..codec import decode_values, encode_values
 from ..contracts.actuation import DENIED, request_outcome
-from ..errors import DuplicateThing, NotListening, ThingChainError, WireError
+from ..errors import BadSignature, DuplicateThing, NotListening, ThingChainError, WireError
 from ..keys import Signer
+from ..ledger import Verifier
 from ..runtime import Revert
 from ..units import parse_milli
 from . import wire
@@ -33,6 +34,8 @@ MAX_DELIVERY_ATTEMPTS = 5
 TRAFFIC_LOG_SIZE = 4096       # most recent entries kept in Gateway.traffic and
                               # UdpTransport.uri_payloads
 DEAD_LETTER_LIMIT = 1024      # most recent undeliverable events kept in Gateway.dead_letters
+BATCH_LIMIT = 32              # most PUT/POST datagrams serve() answers as one batch
+REPLY_CACHE_SIZE = 1024       # most recent ACKed writes whose replies answer retransmits
 
 
 @dataclass
@@ -146,6 +149,8 @@ class Gateway:
         self.traffic: deque[tuple[str, str, bytes]] | None = (
             deque(maxlen=TRAFFIC_LOG_SIZE) if record_traffic else None)
         self._msg_counter = 0
+        self._replies: OrderedDict[tuple[str, bytes], bytes] = OrderedDict()
+        self._batch_replies: list[tuple[str, bytes]] = []   # cached by the open serve batch
         self._lock = threading.RLock()
         self._requesters: dict[str, Signer] = {}
         self._thing_signers: dict[str, Signer] = {}
@@ -222,31 +227,48 @@ class Gateway:
     # request handling
 
     def handle_datagram(self, data: bytes, source: str = "") -> bytes:
-        """Translate one inbound datagram; always returns a reply datagram."""
+        """Translate one inbound datagram; always returns a reply datagram.
+
+        A datagram byte-identical to an ACKed PUT or POST from the same source
+        (the message id is part of the bytes) is a retransmit: it gets the
+        same reply and is not applied again.  The newest REPLY_CACHE_SIZE such
+        replies are kept, in memory only.
+        """
+        with self._lock:
+            reply = self._replies.get((source, data))
+            if reply is None:
+                reply = self._translate(data, source)
+            if not self.node.in_batch:      # a batch logs what it sends at its end
+                self._log_exchange(data, source, reply)
+        return reply
+
+    def _log_exchange(self, data: bytes, source: str, reply: bytes) -> None:
         if self.traffic is not None:
             self.traffic.append(("in", source, data))
+            self.traffic.append(("out", source, reply))
+
+    def _translate(self, data: bytes, source: str) -> bytes:
         try:
             msg = wire.decode_message(data)
         except WireError as exc:
-            return self._reply(source, wire.error(exc.message_id, exc.reason))
+            return wire.error(exc.message_id, exc.reason).encode()
         if msg.msg_type != wire.MSG_REQUEST:
-            return self._reply(source, wire.error(msg.message_id, "NotARequest"))
+            return wire.error(msg.message_id, "NotARequest").encode()
         try:
             reply = self._route(msg, source)
-        except Revert as exc:
-            reply = wire.error(msg.message_id, exc.reason)
-        except WireError as exc:
+        except (Revert, WireError) as exc:
             reply = wire.error(msg.message_id, exc.reason)
         except ThingChainError as exc:
             # unreachable for well-registered things, but never go silent
             reply = wire.error(msg.message_id, type(exc).__name__)
-        return self._reply(source, reply)
-
-    def _reply(self, source: str, msg: wire.GatewayMessage) -> bytes:
-        data = msg.encode()
-        if self.traffic is not None:
-            self.traffic.append(("out", source, data))
-        return data
+        encoded = reply.encode()
+        if reply.msg_type == wire.MSG_ACK and msg.code in (wire.PUT, wire.POST):
+            self._replies[(source, data)] = encoded
+            if len(self._replies) > REPLY_CACHE_SIZE:
+                self._replies.popitem(last=False)
+            if self.node.in_batch:
+                self._batch_replies.append((source, data))
+        return encoded
 
     def _route(self, msg: wire.GatewayMessage, source: str) -> wire.GatewayMessage:
         path, _, query = msg.path.partition("?")
@@ -305,11 +327,8 @@ class Gateway:
 
     def _put_data(self, msg: wire.GatewayMessage, reg: ThingRegistration) -> wire.GatewayMessage:
         value, unit, tick = self._decode_put_payload(msg)
-        signer = self._thing_signer(reg.thing_id)
-        with self._lock:
-            receipt = self.node.call(signer, reg.feed_addr, "push",
-                                     encode_values([value, unit, tick]))
-            self.node.seal_block()
+        receipt = self._call(self._thing_signer(reg.thing_id), reg.feed_addr, "push",
+                             [value, unit, tick])
         if not receipt.ok:
             return wire.error(msg.message_id, receipt.reason)
         return wire.ack(msg.message_id, encode_values(["ok", receipt.return_value]))
@@ -325,15 +344,43 @@ class Gateway:
                 raise ValueError
         except Exception:
             raise WireError("BadPayload", msg.message_id) from None
-        with self._lock:
-            receipt = self.node.call(requester, reg.actuation_addr, "request",
-                                     encode_values([action, args]))
-            self.node.seal_block()
+        receipt = self._call(requester, reg.actuation_addr, "request", [action, args])
         if not receipt.ok:
             return wire.error(msg.message_id, receipt.reason)
         if request_outcome(receipt.return_value) == DENIED:
             return wire.error(msg.message_id, "NotAuthorized")
         return wire.ack(msg.message_id, encode_values(["ok", receipt.return_value]))
+
+    def _call(self, signer: Signer, address: bytes, method: str, args: list):
+        """Submit one call; outside a serve batch it is sealed in its own block."""
+        receipt = self.node.call(signer, address, method, encode_values(args))
+        if not self.node.in_batch:
+            self.node.seal_block()
+        return receipt
+
+    def _answer_batch(self, writes: list[tuple[bytes, str]], verifier: Verifier) -> list[bytes]:
+        """Answer (datagram, source) writes as one batch sealed as one block.
+
+        Its traffic is logged once it is sealed.  If a signature does not
+        verify, nothing of the batch is sealed, cached or logged, and each
+        datagram is answered on its own, verified in process, so the bad one
+        gets BadSignature.
+        """
+        with self._lock:
+            try:
+                with self.node.batch(verifier):
+                    replies = [self.handle_datagram(data, source) for data, source in writes]
+            except BaseException as exc:
+                for key in self._batch_replies:
+                    self._replies.pop(key, None)
+                if not isinstance(exc, BadSignature):
+                    raise
+                return [self.handle_datagram(data, source) for data, source in writes]
+            finally:
+                self._batch_replies.clear()
+            for (data, source), reply in zip(writes, replies):
+                self._log_exchange(data, source, reply)
+            return replies
 
     # ------------------------------------------------------------------
     # event watching
@@ -445,12 +492,25 @@ class Gateway:
         """Blocking UDP loop; also drives the event watcher.
 
         Answers datagrams on the socket bound at construction, including any
-        that arrived before the loop started, and runs poll_events() each
-        time ``poll_interval`` has passed since the last poll, whether or not
-        datagrams kept arriving.  Returns once ``stop_event`` is
-        set; the socket stays bound until close(), which must not be called
-        while the loop runs.  Raises ``NotListening`` when the gateway was
-        built without a listen address or has been closed.
+        that arrived before the loop started.  Writes are answered in
+        batches: a PUT or POST, with the PUTs and POSTs already waiting
+        behind it (at most BATCH_LIMIT, and no more than the block's
+        ``tx_cap`` leaves room for), runs as one `Node.batch`, whose
+        signatures a `Verifier` worker process checks while the batch
+        executes.  The batch seals one block, and only then are its replies
+        sent.  Any other datagram (a GET) ends the batch and is answered
+        after the seal, so it sees the batch's writes.  If a signature does
+        not verify, the batch is undone and its datagrams are answered one
+        at a time, verified in process.  The worker lives from entry to
+        return; if it dies, the open batch is undone and ChildProcessError
+        is raised.
+
+        Runs poll_events() each time ``poll_interval`` has passed since the
+        last poll, whether or not datagrams kept arriving.  Returns once
+        ``stop_event`` is set; the socket stays bound until close(), which
+        must not be called while the loop runs.  Raises ``NotListening``
+        when the gateway was built without a listen address or has been
+        closed.
         """
         sock = self._sock
         if sock is None:
@@ -458,18 +518,43 @@ class Gateway:
                                else "gateway has no listen address")
         sock.settimeout(poll_interval)
         next_poll = time.monotonic() + poll_interval
-        while not stop_event.is_set():
-            try:
-                data, addr = sock.recvfrom(65535)
-            except socket_module.timeout:
-                pass
-            else:
-                reply = self.handle_datagram(data, f"{addr[0]}:{addr[1]}")
+        with Verifier() as verifier:
+            while not stop_event.is_set():
+                try:
+                    received = sock.recvfrom(65535)
+                except socket_module.timeout:
+                    pass
+                else:
+                    self._serve_waiting(sock, verifier, received)
+                now = time.monotonic()
+                if now >= next_poll:
+                    self.poll_events()
+                    next_poll = now + poll_interval
+
+    def _serve_waiting(self, sock, verifier: Verifier, received: tuple) -> None:
+        """Answer ``received`` and the writes already waiting behind it as one
+        batch, then the datagram that ended the batch, if it is not a write."""
+        room = min(BATCH_LIMIT, self.node.batch_room())
+        writes = []
+        timeout = sock.gettimeout()
+        sock.setblocking(False)
+        try:
+            while received is not None and wire.is_write(received[0]):
+                writes.append(received)
+                try:
+                    received = sock.recvfrom(65535) if len(writes) < room else None
+                except BlockingIOError:
+                    received = None
+        finally:
+            sock.settimeout(timeout)
+        if writes:
+            replies = self._answer_batch(
+                [(data, f"{addr[0]}:{addr[1]}") for data, addr in writes], verifier)
+            for (_, addr), reply in zip(writes, replies):
                 sock.sendto(reply, addr)
-            now = time.monotonic()
-            if now >= next_poll:
-                self.poll_events()
-                next_poll = now + poll_interval
+        if received is not None:
+            data, addr = received
+            sock.sendto(self.handle_datagram(data, f"{addr[0]}:{addr[1]}"), addr)
 
     def close(self) -> None:
         """Release the socket, the journal and a transport that has a

@@ -64,6 +64,15 @@ def peek_message_id(datagram: bytes) -> int:
     return 0
 
 
+def is_write(datagram: bytes) -> bool:
+    """Whether the header reads as a PUT or POST request (the rest of the
+    datagram is not checked)."""
+    if len(datagram) < _HEADER.size:
+        return False
+    version, msg_type, code, _ = _HEADER.unpack_from(datagram)
+    return version == VERSION and msg_type == MSG_REQUEST and code in (PUT, POST)
+
+
 def decode_message(datagram: bytes) -> GatewayMessage:
     msg_id = peek_message_id(datagram)
     if len(datagram) > MAX_DATAGRAM:

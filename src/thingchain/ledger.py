@@ -4,12 +4,14 @@ history queries and full replay.
 Submissions execute immediately against a pending-block overlay and return
 their receipt; `seal_block` commits the batch.  External reads (balances,
 read_state, history, state digest) always observe the last sealed block.
+`Node.batch` and replay check signatures in a `Verifier` worker process
+while this process executes.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from .chain import (
     Block,
@@ -62,6 +64,8 @@ class Node:
         self._history: dict[tuple[bytes, bytes], list] = {}
         self._pending: list[tuple[Transaction, object]] = []
         self._pending_writes: list[tuple[bytes, bytes, bytes | None]] = []
+        self._verifier: Verifier | None = None   # set while a batch is open
+        self._unsent: list[tuple[bytes, bytes, bytes]] = []   # its signatures not yet sent
         self._lock = threading.RLock()
         self.world.push_layer()   # overlay for the block being built
 
@@ -110,16 +114,39 @@ class Node:
         with self._lock:
             return len(self._pending)
 
+    def batch_room(self) -> int:
+        """How many more transactions the pending block takes before its
+        cap; a `batch` may submit no more than this."""
+        with self._lock:
+            return self.config.tx_cap - len(self._pending)
+
+    @property
+    def in_batch(self) -> bool:
+        """Whether a `batch` is open; its transactions seal only at its end."""
+        return self._verifier is not None
+
     def submit(self, tx: Transaction):
         """Validate, execute and stage a transaction; returns its receipt.
 
         Invalid transactions raise a SubmitError subclass and leave no trace.
         The block auto-seals once the per-block transaction cap is reached.
+        Inside a `batch` the signature is verified by the batch's worker
+        instead, nothing auto-seals, and a transaction that would take the
+        block past the cap raises SubmitError.
         """
         with self._lock:
-            receipt = self._execute_pending(tx)
-            if len(self._pending) >= self.config.tx_cap:
-                self._seal_locked()
+            if self._verifier is None:
+                receipt = self._execute_pending(tx)
+                if len(self._pending) >= self.config.tx_cap:
+                    self._seal_locked()
+                return receipt
+            if self.batch_room() <= 0:
+                raise SubmitError("the batch's block is full")
+            receipt = self._execute_pending(tx, signature_checked=True)
+            self._unsent.append(_signed(tx))
+            if len(self._unsent) == _BATCH_CHUNK:
+                self._verifier.send(self._unsent)
+                self._unsent = []
             return receipt
 
     def _execute_pending(self, tx: Transaction, signature_checked: bool = False):
@@ -132,9 +159,49 @@ class Node:
         self._pending_writes.extend(writes)
         return receipt
 
+    @contextmanager
+    def batch(self, verifier: "Verifier"):
+        """Stage the transactions submitted inside the ``with`` block as one
+        block, verifying their signatures beside their execution.
+
+        This is execute-order-validate on the single sequencer: each `submit`
+        validates and executes its transaction at once, in a batch layer over
+        the pending block, and streams its signature to ``verifier`` in chunks
+        of ``_BATCH_CHUNK``.  On leaving the block the batch waits for the
+        verdicts and, if every one is true, seals one block (none if the batch
+        staged nothing).  If a verdict is false it raises BadSignature; then,
+        and on any exception from the block or the verifier, the batch layer
+        is dropped and the pending block is as it was before the batch.  The
+        verifier is left in step only after a normal exit or BadSignature.
+        The node's lock is held throughout.
+        """
+        with self._lock:
+            if self._verifier is not None:
+                raise RuntimeError("batches do not nest")
+            staged, written = len(self._pending), len(self._pending_writes)
+            self.world.push_layer()
+            self._verifier, self._unsent = verifier, []
+            try:
+                yield
+                verifier.send(self._unsent)
+                verdicts = verifier.take(len(self._pending) - staged)
+                if not all(verdicts):
+                    raise BadSignature(
+                        f"batched transaction {verdicts.index(0)} does not verify")
+            except BaseException:
+                self.world.pop_layer(merge=False)
+                del self._pending[staged:]
+                del self._pending_writes[written:]
+                raise
+            finally:
+                self._verifier, self._unsent = None, []
+            self.world.pop_layer(merge=True)
+            if len(self._pending) > staged:
+                self.seal_block()
+
     def _validate(self, tx: Transaction, signature_checked: bool = False) -> None:
         """Raise the SubmitError that rejects ``tx``.  ``signature_checked``
-        is set only by replay, which has verified the signature already."""
+        is set by replay and batches, whose verifier checks the signature."""
         sender = tx.sender
         known = self.directory.get(sender)
         if known is None:
@@ -151,8 +218,11 @@ class Node:
             raise InsufficientTokens(f"balance {self.world.balance(sender)} < {tx.tokens}")
 
     def seal_block(self) -> Block:
-        """Seal pending transactions (possibly none) into the next block."""
+        """Seal pending transactions (possibly none) into the next block;
+        inside a `batch` only the batch seals."""
         with self._lock:
+            if self._verifier is not None:
+                raise RuntimeError("seal_block inside a batch")
             return self._seal_locked()
 
     def _seal_locked(self) -> Block:
@@ -262,8 +332,11 @@ class Node:
 
         Raises BrokenChain(height) on any link, hash, signature or
         re-execution mismatch.  Each transaction's signature is verified
-        once, by one forked worker process that works through the chain
-        while this process re-executes it (see ``_signature_verdicts``).
+        once, by one `Verifier` worker process: the signatures of each block
+        are sent to it up to ``_REPLAY_AHEAD`` blocks before this process
+        re-executes that block, and the block's verdicts are read just before
+        its transactions run.  No worker is started for a chain without
+        transactions; if the worker dies, ChildProcessError is raised.
         """
         node = cls.__new__(cls)
         node._init_from_config(config, registry)
@@ -271,14 +344,19 @@ class Node:
             raise BrokenChain(0, "chain has no genesis block")
         if blocks[0].encode() != node.blocks[0].encode():
             raise BrokenChain(0, "genesis does not match configuration")
-        with _signature_verdicts(blocks[1:]) as verdicts:
-            for expected_height, block in enumerate(blocks[1:], start=1):
-                node._replay_block(expected_height, block, verdicts)
+        body = blocks[1:]
+        signed = any(block.txs for block in body)
+        sent = 0       # blocks whose signatures the verifier has
+        with Verifier() if signed else nullcontext() as verifier:
+            for height, block in enumerate(body, start=1):
+                while signed and sent < min(len(body), height + _REPLAY_AHEAD):
+                    verifier.send([_signed(tx) for tx in body[sent].txs])
+                    sent += 1
+                node._replay_block(height, block, verifier)
         return node
 
-    def _replay_block(self, height: int, block: Block, verdicts) -> None:
-        """Replay one block; ``verdicts`` yields, in chain order, whether
-        each transaction's signature verifies."""
+    def _replay_block(self, height: int, block: Block, verifier) -> None:
+        """Replay one block, whose signatures were sent to ``verifier``."""
         if block.height != height:
             raise BrokenChain(height, f"height field says {block.height}")
         if block.prev_hash != self.blocks[-1].block_hash:
@@ -289,8 +367,9 @@ class Node:
             raise BrokenChain(height, "stored block hash is wrong")
         if len(block.receipts) != len(block.txs):
             raise BrokenChain(height, "receipt count != tx count")
-        for tx, stored in zip(block.txs, block.receipts):
-            if not next(verdicts):
+        verdicts = verifier.take(len(block.txs)) if block.txs else b""
+        for tx, stored, verified in zip(block.txs, block.receipts, verdicts):
+            if not verified:
                 raise BrokenChain(height, "transaction signature does not verify")
             try:
                 self._register_key(tx.sender_key)
@@ -304,67 +383,112 @@ class Node:
             raise BrokenChain(height, "re-sealed block hash differs")
 
 
-_VERDICT_CHUNK = 64
+_BATCH_CHUNK = 2            # signatures per message a batch sends while it executes
+_REPLAY_AHEAD = 4           # blocks whose signatures replay sends before re-executing one;
+                            # fewer left the worker idle, all at once was slower
+_VERDICTS_IN_FLIGHT = 4096  # signatures sent and unanswered before `send` reads replies
 
 
-def _send_verdicts(blocks: list[Block], conn) -> None:
-    """Worker body: verify every transaction's signature in chain order and
-    send the verdicts, one byte each, in chunks of ``_VERDICT_CHUNK``."""
-    verdicts = bytearray()
-    for block in blocks:
-        for tx in block.txs:
-            verdicts.append(verify_signature(tx.sender_key, tx.signature, tx.signing_bytes()))
-            if len(verdicts) == _VERDICT_CHUNK:
-                conn.send_bytes(verdicts)
-                verdicts.clear()
-    if verdicts:
-        conn.send_bytes(verdicts)
-    conn.close()
+def _signed(tx: Transaction) -> tuple[bytes, bytes, bytes]:
+    """What the verifier needs of ``tx``: (verification key, signature,
+    signing bytes)."""
+    return tx.sender_key, tx.signature, tx.signing_bytes()
 
 
-def _receive_verdicts(conn, worker):
+def _verify_requests(requests, verdicts) -> None:
+    """Worker body: answer each message of signature triples with one
+    verdict byte per triple, until the request pipe closes.  A terminal's
+    ctrl-c is left to the parent, and SIGTERM ends the worker whatever
+    handler the parent had installed."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     while True:
         try:
-            chunk = conn.recv_bytes()
-        except EOFError:       # the worker is gone before its last verdict
-            worker.join()
-            raise ChildProcessError(
-                f"signature worker exited early (exit code {worker.exitcode})") from None
-        yield from chunk
+            triples = requests.recv()
+        except EOFError:
+            return
+        verdicts.send_bytes(bytes([verify_signature(*triple) for triple in triples]))
 
 
-@contextmanager
-def _signature_verdicts(blocks: list[Block]):
-    """Yield an iterator over the signature verdicts of ``blocks``'
-    transactions, in chain order, computed by one worker process.
+class Verifier:
+    """One forked worker process that verifies Ed25519 signatures.
 
-    The worker is forked, so it reads the blocks the caller already decoded
-    instead of receiving a pickled copy, and Ed25519 verification, which
-    holds the interpreter lock, runs on a second CPU while the caller
-    re-executes.  The worker runs nothing but transaction encoding,
-    verification and writes to its pipe.  No worker is started for a chain without transactions.
-    The worker is terminated and joined on return and on any exception; if
-    it dies, reading the next verdict raises ChildProcessError.
+    ``send`` ships (verification key, signature, signing bytes) triples to
+    the worker, and ``take(n)`` returns the next n verdicts, one byte each
+    (1 when the signature verifies), in the order they were sent.  The
+    worker is forked on construction, so nothing of this module is pickled
+    for it, and it runs the ``verify_signature`` the module holds then.
+    Verification holds the interpreter lock, so it runs on another CPU
+    while the caller executes.  ``send`` reads finished verdicts itself
+    before more than ``_VERDICTS_IN_FLIGHT`` would be outstanding, so
+    neither pipe fills up whatever the caller's pace.  ``close``, or
+    leaving a ``with`` block, terminates and joins the worker; if it dies,
+    ``take`` or ``send`` raises ChildProcessError.
     """
-    if not any(block.txs for block in blocks):
-        yield iter(())
-        return
-    import multiprocessing   # here, so that importing the ledger costs no memory for it
 
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-    worker = context.Process(target=_send_verdicts, args=(blocks, sender),
-                             name="thingchain-verify")
-    with receiver:
-        with sender:       # the worker's end stays open only in the worker
-            worker.start()
+    def __init__(self):
+        import multiprocessing   # here, so that importing the ledger costs no memory for it
+
+        context = multiprocessing.get_context("fork")
+        requests_in, self._requests = context.Pipe(duplex=False)
+        self._verdicts, verdicts_out = context.Pipe(duplex=False)
+        self._worker = context.Process(target=_verify_requests, args=(requests_in, verdicts_out),
+                                       name="thingchain-verify")
+        self._ready = bytearray()     # verdicts read from the worker and not yet taken
+        self._in_flight = 0           # signatures sent and not yet answered
         try:
-            yield _receive_verdicts(receiver, worker)
-        finally:
-            worker.terminate()
-            receiver.close()   # a worker that outlives SIGTERM cannot block on a send
-            worker.join()
-            worker.close()
+            with requests_in, verdicts_out:   # the worker's ends stay open only in the worker
+                self._worker.start()
+        except BaseException:
+            self._requests.close()
+            self._verdicts.close()
+            raise
+
+    def send(self, triples: list) -> None:
+        if not triples:
+            return
+        while self._in_flight and self._in_flight + len(triples) > _VERDICTS_IN_FLIGHT:
+            self._receive()
+        try:
+            self._requests.send(triples)
+        except BrokenPipeError:
+            self._worker_exited()
+        self._in_flight += len(triples)
+
+    def take(self, count: int) -> bytes:
+        while len(self._ready) < count:
+            self._receive()
+        verdicts = bytes(self._ready[:count])
+        del self._ready[:count]
+        return verdicts
+
+    def _receive(self) -> None:
+        try:
+            chunk = self._verdicts.recv_bytes()
+        except EOFError:       # the worker is gone before its last verdict
+            self._worker_exited()
+        self._ready += chunk
+        self._in_flight -= len(chunk)
+
+    def _worker_exited(self):
+        self._worker.join()
+        raise ChildProcessError(
+            f"signature worker exited early (exit code {self._worker.exitcode})") from None
+
+    def close(self) -> None:
+        self._worker.terminate()
+        self._requests.close()
+        self._verdicts.close()   # a worker that outlives SIGTERM cannot block on a send
+        self._worker.join()
+        self._worker.close()
+
+    def __enter__(self) -> "Verifier":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def replay(source) -> bytes:

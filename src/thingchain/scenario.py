@@ -229,9 +229,16 @@ class ScenarioRunner:
         self.transport: SimTransport | None = None
         self._genesis: list[tuple[str, int]] = []
         self.last_receipt = None
+        self._message_id = 0   # of the last request sent to the gateway
 
     # ------------------------------------------------------------------
     # value parsing
+
+    def _request(self, code: int, path: str, payload: bytes = b"") -> bytes:
+        """A request datagram with a fresh message id, so that two steps never
+        send identical bytes, which the gateway would take for a retransmit."""
+        self._message_id = (self._message_id + 1) & 0xFFFF
+        return wire.request(code, self._message_id, path, payload).encode()
 
     def _account(self, name: str) -> Signer:
         signer = self.accounts.get(name)
@@ -465,10 +472,9 @@ class ScenarioRunner:
             gateway = self._require_gateway()
             for _ in range(count):
                 value, unit, tick = thing.next_measurement()
-                msg = wire.request(wire.PUT, tick & 0xFFFF, f"/things/{thing_id}/data",
-                                   encode_values([value, unit, tick]))
-                reply = wire.decode_message(
-                    gateway.handle_datagram(msg.encode(), f"sim:{thing_id}"))
+                msg = self._request(wire.PUT, f"/things/{thing_id}/data",
+                                    encode_values([value, unit, tick]))
+                reply = wire.decode_message(gateway.handle_datagram(msg, f"sim:{thing_id}"))
                 if reply.msg_type != wire.MSG_ACK:
                     raise StepFailed(step.index,
                                      f"push rejected: {wire.error_reason(reply)[0]}")
@@ -635,9 +641,8 @@ class ScenarioRunner:
         payload = [value, unit]
         if "tick" in step.kv:
             payload.append(int(step.kv["tick"]))
-        msg = wire.request(wire.PUT, len(self.symbols) & 0xFFFF,
-                           f"/things/{thing_id}/data", encode_values(payload))
-        reply = wire.decode_message(gateway.handle_datagram(msg.encode(), f"sim:{thing_id}"))
+        msg = self._request(wire.PUT, f"/things/{thing_id}/data", encode_values(payload))
+        reply = wire.decode_message(gateway.handle_datagram(msg, f"sim:{thing_id}"))
         return self._check_reply(step, reply)
 
     def _verb_thing_get(self, step: Step):
@@ -649,8 +654,8 @@ class ScenarioRunner:
         else:
             path = (f"/things/{thing_id}/stats?from={step.kv.get('from', '0')}"
                     f"&to={step.kv.get('to', str(2**62))}")
-        msg = wire.request(wire.GET, 7, path)
-        reply = wire.decode_message(gateway.handle_datagram(msg.encode(), f"sim:{thing_id}"))
+        reply = wire.decode_message(
+            gateway.handle_datagram(self._request(wire.GET, path), f"sim:{thing_id}"))
         detail, receipt = self._check_reply(step, reply)
         if reply.msg_type == wire.MSG_ACK and what == "last" and "value" in step.kv:
             got = decode_values(reply.payload)[0]
@@ -667,9 +672,9 @@ class ScenarioRunner:
         endpoint = self._need(step, "from")
         action = self._need(step, "action")
         args = self._args(step.kv.get("args", "")) or b""
-        msg = wire.request(wire.POST, 9, f"/things/{thing_id}/actuate",
-                           encode_values([action, args]))
-        reply = wire.decode_message(gateway.handle_datagram(msg.encode(), endpoint))
+        msg = self._request(wire.POST, f"/things/{thing_id}/actuate",
+                            encode_values([action, args]))
+        reply = wire.decode_message(gateway.handle_datagram(msg, endpoint))
         return self._check_reply(step, reply)
 
     def _check_reply(self, step: Step, reply: wire.GatewayMessage):

@@ -1,9 +1,11 @@
-"""World state with committed / pending-block / pending-transaction layers.
+"""World state with committed / pending-block / batch / pending-transaction
+layers.
 
 External reads (read_state, history, balances, the state digest) see only the
 committed layer, i.e. state as of the last sealed block.  Execution reads go
 through all layers so transactions in the same block observe earlier writes.
-A reverted transaction simply drops its layer.
+A reverted transaction simply drops its layer, and so does a batch whose
+signatures do not all verify.
 
 Contract storage is committed per contract: its base maps each address to
 that contract's own ``{key: value}`` dict, while the block and transaction
@@ -23,7 +25,7 @@ _TOMBSTONE = object()
 
 
 class LayeredMap:
-    """A dict with up to two overlay layers (block, transaction)."""
+    """A dict with up to three overlay layers: block, batch and transaction."""
 
     def __init__(self):
         self.base: dict = {}

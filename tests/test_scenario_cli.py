@@ -237,3 +237,22 @@ def test_run_without_workdir_leaves_no_directory(tmp_path, monkeypatch):
     assert list(temp_root.glob("thingchain-*")) == []
     assert report.exit_code == 0
     assert report.to_json() == kept.to_json()
+
+
+def test_repeated_gateway_writes_are_each_applied():
+    """Two steps never send identical datagrams, so a repeated write is not
+    answered from the gateway's retransmit cache."""
+    report = run_scenario_text(
+        "account name=council tokens=5\n"
+        "requester endpoint=ep:council account=council\n"
+        "register thing=t1 as=t1\n"
+        "allow-requester thing=t1 endpoint=ep:council\n"
+        "thing-post thing=t1 from=ep:council action=valve_open args=str:50%\n"
+        "thing-post thing=t1 from=ep:council action=valve_open args=str:50%\n"
+        "thing-put thing=t1 value=21.5\n"
+        "thing-put thing=t1 value=21.5\n"
+        "watch expect_deliveries=2\n"
+        "assert kind=actuations thing=t1 count=2\n"
+        "assert kind=history target=@t1.feed key=str:last count=2\n",
+        seed=4)
+    assert report.exit_code == 0, report.failure
