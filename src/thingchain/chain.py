@@ -16,8 +16,6 @@ from .codec import Reader, enc_bytes, enc_str, enc_u8, enc_u32, enc_u64, frame
 from .errors import BrokenChain, DecodeError
 from .keys import ALGORITHM, DIGEST_SIZE, account_id, digest
 
-ZERO_HASH = b"\x00" * DIGEST_SIZE
-
 # target tag bytes
 _TARGET_DEPLOY = 0
 _TARGET_ADDRESS = 1
@@ -57,10 +55,6 @@ class Transaction:
 
     def encode(self) -> bytes:
         return self.signing_bytes() + enc_bytes(self.signature)
-
-    @property
-    def txid(self) -> bytes:
-        return digest(b"tx:" + self.encode())
 
     @classmethod
     def read(cls, r: Reader) -> "Transaction":

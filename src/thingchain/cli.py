@@ -151,10 +151,8 @@ def cmd_audit(args) -> int:
 
 def cmd_export_chain(args) -> int:
     node = _load_node(args.chain)
-    data = node.export_bytes()
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+        data = node.export_chain(args.out)
         print(f"exported {len(data)} bytes to {args.out}")
     print(f"height: {node.height}")
     print(f"state digest: {node.state_digest().hex()}")

@@ -9,8 +9,8 @@ State layout:
 
 from __future__ import annotations
 
-from ..codec import decode_values, enc_u64, encode_values
-from ..runtime import Behavior, Revert, want_account, want_bytes, want_int, want_str
+from ..codec import decode_values, encode_values
+from ..runtime import Behavior, want_account, want_bytes, want_int, want_str
 
 TOKEN_PREFIX = b"token/"
 CHECK_SEQ_KEY = b"checkseq"
@@ -32,10 +32,7 @@ class AccessContract(Behavior):
 
     def revoke(self, ctx, args):
         ctx.require_owner()
-        token_id = want_bytes(args, 0, "token id")
-        if ctx.get(TOKEN_PREFIX + token_id) is None:
-            raise Revert("UnknownToken")
-        ctx.delete(TOKEN_PREFIX + token_id)
+        ctx.remove(TOKEN_PREFIX + want_bytes(args, 0, "token id"), "UnknownToken")
 
     def check(self, ctx, args):
         """(token_id, holder, scope) -> b"\\x01"/b"\\x00"; the check is logged."""
@@ -47,8 +44,6 @@ class AccessContract(Behavior):
         if raw is not None:
             t_holder, t_scope, t_expiry = decode_values(raw)
             valid = t_holder == holder and t_scope == scope and ctx.height <= t_expiry
-        seq = int.from_bytes(ctx.get(CHECK_SEQ_KEY) or b"", "big")
-        ctx.set(CHECK_SEQ_KEY, enc_u64(seq + 1))
-        ctx.set(CHECK_PREFIX + enc_u64(seq),
-                encode_values([ctx.height, ctx.caller, token_id, holder, scope, valid]))
+        ctx.append(CHECK_SEQ_KEY, CHECK_PREFIX, encode_values(
+            [ctx.height, ctx.caller, token_id, holder, scope, valid]))
         return b"\x01" if valid else b"\x00"

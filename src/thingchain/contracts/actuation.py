@@ -12,8 +12,8 @@ State layout:
 
 from __future__ import annotations
 
-from ..codec import enc_u64, encode_values
-from ..runtime import Behavior, Revert, want_account, want_bytes, want_str
+from ..codec import encode_values
+from ..runtime import Behavior, Members, want_bytes, want_str
 
 ACTOR_PREFIX = b"actor/"
 LOG_SEQ_KEY = b"logseq"
@@ -34,30 +34,17 @@ class ActuationContract(Behavior):
     code_id = "actuation"
     exports = ("request", "allow_actor", "revoke_actor")
 
-    def allow_actor(self, ctx, args):
-        ctx.require_owner()
-        ctx.set(ACTOR_PREFIX + want_account(args, 0), b"\x01")
-
-    def revoke_actor(self, ctx, args):
-        ctx.require_owner()
-        account = want_account(args, 0)
-        if ctx.get(ACTOR_PREFIX + account) is None:
-            raise Revert("UnknownActor")
-        ctx.delete(ACTOR_PREFIX + account)
-
-    def _log(self, ctx, action: str, decision: str) -> None:
-        seq = int.from_bytes(ctx.get(LOG_SEQ_KEY) or b"", "big")
-        ctx.set(LOG_SEQ_KEY, enc_u64(seq + 1))
-        ctx.set(LOG_PREFIX + enc_u64(seq),
-                encode_values([ctx.height, ctx.caller, action, decision]))
+    actors = Members(ACTOR_PREFIX, "UnknownActor")
+    allow_actor = actors.allow
+    revoke_actor = actors.revoke
 
     def request(self, ctx, args):
         """(action, args): emit Actuate when authorized, log either way."""
         action = want_str(args, 0, "action")
         payload = want_bytes(args, 1, "action args")
-        allowed = ctx.caller == ctx.owner or ctx.get(ACTOR_PREFIX + ctx.caller) is not None
-        decision = GRANTED if allowed else DENIED
-        self._log(ctx, action, decision)
+        allowed = self.actors.contains(ctx, ctx.caller)
+        ctx.append(LOG_SEQ_KEY, LOG_PREFIX, encode_values(
+            [ctx.height, ctx.caller, action, GRANTED if allowed else DENIED]))
         body = encode_values([action, payload, ctx.caller])
         if allowed:
             ctx.emit("Actuate", body)

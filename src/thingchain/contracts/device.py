@@ -9,7 +9,7 @@ the stub's surface.
 
 from __future__ import annotations
 
-from ..runtime import Behavior, Revert, want_str
+from ..runtime import Behavior, want_str
 
 DESCRIPTION_KEY = b"descr"
 COAP_URI_KEY = b"coap_uri"
@@ -39,7 +39,4 @@ class DeviceExtended(DeviceStub):
         ctx.set(COAP_URI_KEY, want_str(args, 0, "uri").encode())
 
     def coap_uri(self, ctx, args):
-        uri = ctx.get(COAP_URI_KEY)
-        if uri is None:
-            raise Revert("UnknownAttribute", "coap_uri")
-        return uri
+        return ctx.require(COAP_URI_KEY, "UnknownAttribute", "coap_uri")

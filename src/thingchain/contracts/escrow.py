@@ -33,10 +33,8 @@ class EscrowContract(Behavior):
     exports = ("commit", "confirm", "refund")
 
     def _deal(self, ctx, deal_id: int):
-        raw = ctx.get(DEAL_PREFIX + enc_u64(deal_id))
-        if raw is None:
-            raise Revert("UnknownDeal", str(deal_id))
-        return decode_deal(raw)
+        return decode_deal(ctx.require(DEAL_PREFIX + enc_u64(deal_id), "UnknownDeal",
+                                       str(deal_id)))
 
     def commit(self, ctx, args):
         """(provider, deadline_height), escrowing the attached tokens."""
@@ -44,11 +42,8 @@ class EscrowContract(Behavior):
         deadline = want_int(args, 1, "deadline height")
         if deadline < 0:
             raise Revert("BadArgs", "deadline must be nonnegative")
-        deal_id = int.from_bytes(ctx.get(DEAL_SEQ_KEY) or b"", "big")
-        ctx.set(DEAL_SEQ_KEY, enc_u64(deal_id + 1))
-        ctx.set(DEAL_PREFIX + enc_u64(deal_id),
-                encode_values([ctx.caller, provider, ctx.tokens, deadline, COMMITTED]))
-        return enc_u64(deal_id)
+        return enc_u64(ctx.append(DEAL_SEQ_KEY, DEAL_PREFIX, encode_values(
+            [ctx.caller, provider, ctx.tokens, deadline, COMMITTED])))
 
     def confirm(self, ctx, args):
         """Customer releases the funds to the provider."""

@@ -12,7 +12,7 @@ State layout:
 from __future__ import annotations
 
 from ..codec import decode_values, enc_u64, encode_values
-from ..runtime import Behavior, NOT_AUTHORIZED, Revert, want_account, want_int, want_str
+from ..runtime import Behavior, Members, NOT_AUTHORIZED, Revert, want_int, want_str
 from ..units import div_half_up
 
 WRITER_PREFIX = b"writer/"
@@ -34,23 +34,13 @@ class FeedContract(Behavior):
     code_id = "feed"
     exports = ("push", "last", "stats", "allow_writer", "revoke_writer")
 
-    def _is_writer(self, ctx, account: bytes) -> bool:
-        return account == ctx.owner or ctx.get(WRITER_PREFIX + account) is not None
-
-    def allow_writer(self, ctx, args):
-        ctx.require_owner()
-        ctx.set(WRITER_PREFIX + want_account(args, 0), b"\x01")
-
-    def revoke_writer(self, ctx, args):
-        ctx.require_owner()
-        account = want_account(args, 0)
-        if ctx.get(WRITER_PREFIX + account) is None:
-            raise Revert("UnknownWriter")
-        ctx.delete(WRITER_PREFIX + account)
+    writers = Members(WRITER_PREFIX, "UnknownWriter")
+    allow_writer = writers.allow
+    revoke_writer = writers.revoke
 
     def push(self, ctx, args):
         """Append one measurement: (value_milli, unit, tick)."""
-        if not self._is_writer(ctx, ctx.caller):
+        if not self.writers.contains(ctx, ctx.caller):
             raise Revert(NOT_AUTHORIZED, "caller is not in the writer set")
         value = want_int(args, 0, "value (milli)")
         unit = want_str(args, 1, "unit")
@@ -60,18 +50,12 @@ class FeedContract(Behavior):
         raw_last = ctx.get(LAST_KEY)
         if raw_last is not None and tick < decode_measurement(raw_last)[2]:
             raise Revert("TickRegression", "ticks must be nondecreasing")
-        count = int.from_bytes(ctx.get(COUNT_KEY) or b"", "big")
         sample = encode_measurement(value, unit, tick)
-        ctx.set(MEASUREMENT_PREFIX + enc_u64(count), sample)
         ctx.set(LAST_KEY, sample)
-        ctx.set(COUNT_KEY, enc_u64(count + 1))
-        return enc_u64(count)
+        return enc_u64(ctx.append(COUNT_KEY, MEASUREMENT_PREFIX, sample))
 
     def last(self, ctx, args):
-        raw = ctx.get(LAST_KEY)
-        if raw is None:
-            raise Revert("EmptyFeed")
-        return raw
+        return ctx.require(LAST_KEY, "EmptyFeed")
 
     def stats(self, ctx, args):
         """Aggregate over ticks in [from, to]: returns [min, max, avg, count].
@@ -80,7 +64,7 @@ class FeedContract(Behavior):
         """
         lo = want_int(args, 0, "window start tick")
         hi = want_int(args, 1, "window end tick")
-        count = int.from_bytes(ctx.get(COUNT_KEY) or b"", "big")
+        count = ctx.counter(COUNT_KEY)
         total = 0
         seen = 0
         vmin = vmax = 0

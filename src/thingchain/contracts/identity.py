@@ -33,14 +33,8 @@ class IdentityContract(Behavior):
     def revoke(self, ctx, args):
         ctx.require_owner()
         kind = want_str(args, 0, "attribute kind")
-        key = ATTR_PREFIX + kind.encode()
-        if ctx.get(key) is None:
-            raise Revert("UnknownAttribute", kind)
-        ctx.delete(key)
+        ctx.remove(ATTR_PREFIX + kind.encode(), "UnknownAttribute", kind)
 
     def get_attribute(self, ctx, args):
         kind = want_str(args, 0, "attribute kind")
-        value = ctx.get(ATTR_PREFIX + kind.encode())
-        if value is None:
-            raise Revert("UnknownAttribute", kind)
-        return value
+        return ctx.require(ATTR_PREFIX + kind.encode(), "UnknownAttribute", kind)

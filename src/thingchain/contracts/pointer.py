@@ -41,14 +41,8 @@ class PointerContract(Behavior):
         """(item_id, data) -> b"\\x01" iff digest(data) matches the record."""
         item_id = want_bytes(args, 0, "item id")
         data = want_bytes(args, 1, "data")
-        raw = ctx.get(ITEM_PREFIX + item_id)
-        if raw is None:
-            raise Revert("UnknownItem")
-        stored = decode_values(raw)[1]
+        stored = decode_values(ctx.require(ITEM_PREFIX + item_id, "UnknownItem"))[1]
         return b"\x01" if digest(data) == stored else b"\x00"
 
     def describe(self, ctx, args):
-        raw = ctx.get(ITEM_PREFIX + want_bytes(args, 0, "item id"))
-        if raw is None:
-            raise Revert("UnknownItem")
-        return raw
+        return ctx.require(ITEM_PREFIX + want_bytes(args, 0, "item id"), "UnknownItem")

@@ -22,10 +22,7 @@ class SkeletonContract(Behavior):
 
     def lookup(self, ctx, args):
         method = want_str(args, 0, "method name")
-        addr = ctx.get(IMPL_PREFIX + method.encode())
-        if addr is None:
-            raise Revert("MethodNotFound", method)
-        return addr
+        return ctx.require(IMPL_PREFIX + method.encode(), "MethodNotFound", method)
 
     def update(self, ctx, args):
         """(method, implementation address); owner-only."""
@@ -39,7 +36,4 @@ class SkeletonContract(Behavior):
     def remove(self, ctx, args):
         ctx.require_owner()
         method = want_str(args, 0, "method name")
-        key = IMPL_PREFIX + method.encode()
-        if ctx.get(key) is None:
-            raise Revert("MethodNotFound", method)
-        ctx.delete(key)
+        ctx.remove(IMPL_PREFIX + method.encode(), "MethodNotFound", method)

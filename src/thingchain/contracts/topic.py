@@ -14,15 +14,7 @@ State layout:
 from __future__ import annotations
 
 from ..codec import decode_values, enc_u64, encode_values
-from ..runtime import (
-    Behavior,
-    NOT_AUTHORIZED,
-    Revert,
-    want_account,
-    want_bytes,
-    want_int,
-    want_str,
-)
+from ..runtime import Behavior, Members, NOT_AUTHORIZED, Revert, want_bytes, want_int, want_str
 
 PUBLISHER_PREFIX = b"pub/"
 SUB_SEQ_KEY = b"subseq"
@@ -81,19 +73,9 @@ class TopicContract(Behavior):
         "subscribe", "unsubscribe", "publish", "allow_publisher", "revoke_publisher",
     )
 
-    def _is_publisher(self, ctx, account: bytes) -> bool:
-        return account == ctx.owner or ctx.get(PUBLISHER_PREFIX + account) is not None
-
-    def allow_publisher(self, ctx, args):
-        ctx.require_owner()
-        ctx.set(PUBLISHER_PREFIX + want_account(args, 0), b"\x01")
-
-    def revoke_publisher(self, ctx, args):
-        ctx.require_owner()
-        account = want_account(args, 0)
-        if ctx.get(PUBLISHER_PREFIX + account) is None:
-            raise Revert("UnknownPublisher")
-        ctx.delete(PUBLISHER_PREFIX + account)
+    publishers = Members(PUBLISHER_PREFIX, "UnknownPublisher")
+    allow_publisher = publishers.allow
+    revoke_publisher = publishers.revoke
 
     def subscribe(self, ctx, args):
         """(pattern, sink_kind, sink_bytes) -> subscription id (u64 bytes)."""
@@ -106,25 +88,19 @@ class TopicContract(Behavior):
             raise Revert("BadPattern", str(exc)) from exc
         if sink_kind not in (SINK_ADDRESS, SINK_URI):
             raise Revert("BadArgs", f"unknown sink kind {sink_kind}")
-        sub_id = int.from_bytes(ctx.get(SUB_SEQ_KEY) or b"", "big")
-        ctx.set(SUB_SEQ_KEY, enc_u64(sub_id + 1))
-        ctx.set(SUB_PREFIX + enc_u64(sub_id),
-                encode_values([pattern, sink_kind, sink, ctx.caller]))
-        return enc_u64(sub_id)
+        return enc_u64(ctx.append(SUB_SEQ_KEY, SUB_PREFIX,
+                                  encode_values([pattern, sink_kind, sink, ctx.caller])))
 
     def unsubscribe(self, ctx, args):
         sub_id = want_int(args, 0, "subscription id")
         key = SUB_PREFIX + enc_u64(sub_id)
-        raw = ctx.get(key)
-        if raw is None:
-            raise Revert("UnknownSub")
-        if decode_values(raw)[3] != ctx.caller:
+        if decode_values(ctx.require(key, "UnknownSub"))[3] != ctx.caller:
             raise Revert(NOT_AUTHORIZED, "only the subscriber can unsubscribe")
         ctx.delete(key)
 
     def publish(self, ctx, args):
         """(topic_path, payload): Notify every matching subscription."""
-        if not self._is_publisher(ctx, ctx.caller):
+        if not self.publishers.contains(ctx, ctx.caller):
             raise Revert(NOT_AUTHORIZED, "caller is not in the publisher set")
         path = want_str(args, 0, "topic path")
         payload = want_bytes(args, 1, "payload")

@@ -39,10 +39,6 @@ class NameRecord:
     uri: str | None = None
     text: bytes | None = None
 
-    def is_empty(self) -> bool:
-        return (self.delegation is None and self.service_key is None
-                and self.uri is None and self.text is None)
-
     def encode(self) -> bytes:
         flags = (
             (1 if self.delegation is not None else 0)
@@ -112,7 +108,4 @@ class ZoneContract(Behavior):
     def unset(self, ctx, args):
         ctx.require_owner()
         label = self._label(args)
-        key = NAME_PREFIX + label.encode()
-        if ctx.get(key) is None:
-            raise Revert("UnknownLabel", label)
-        ctx.delete(key)
+        ctx.remove(NAME_PREFIX + label.encode(), "UnknownLabel", label)

@@ -136,7 +136,7 @@ class Gateway:
     """
 
     def __init__(self, node, config: GatewayConfig, transport=None,
-                 sleep_fn=None, record_traffic: bool = True):
+                 sleep_fn=None):
         self._sock = _bind_udp(config.listen) if config.listen else None
         self.node = node
         self.config = config
@@ -146,8 +146,7 @@ class Gateway:
         self.things: dict[str, ThingRegistration] = {}
         self.cursor = (0, -1)                     # last fully processed (height, tx_index)
         self.dead_letters: list[tuple] = []
-        self.traffic: deque[tuple[str, str, bytes]] | None = (
-            deque(maxlen=TRAFFIC_LOG_SIZE) if record_traffic else None)
+        self.traffic: deque[tuple[str, str, bytes]] = deque(maxlen=TRAFFIC_LOG_SIZE)
         self._msg_counter = 0
         self._replies: OrderedDict[tuple[str, bytes], bytes] = OrderedDict()
         self._batch_replies: list[tuple[str, bytes]] = []   # cached by the open serve batch
@@ -243,9 +242,8 @@ class Gateway:
         return reply
 
     def _log_exchange(self, data: bytes, source: str, reply: bytes) -> None:
-        if self.traffic is not None:
-            self.traffic.append(("in", source, data))
-            self.traffic.append(("out", source, reply))
+        self.traffic.append(("in", source, data))
+        self.traffic.append(("out", source, reply))
 
     def _translate(self, data: bytes, source: str) -> bytes:
         try:
@@ -402,8 +400,7 @@ class Gateway:
         backoff = RETRY_BASE_TICKS
         for attempt in range(1, MAX_DELIVERY_ATTEMPTS + 1):
             try:
-                if self.traffic is not None:
-                    self.traffic.append(("watch", destination, data))
+                self.traffic.append(("watch", destination, data))
                 deliver(destination, data)
                 return 1
             except Exception as exc:

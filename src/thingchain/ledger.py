@@ -10,8 +10,9 @@ while this process executes.
 
 from __future__ import annotations
 
+import os
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 
 from .chain import (
     Block,
@@ -320,9 +321,24 @@ class Node:
             return dump_chain(self.config, self.blocks)
 
     def export_chain(self, path) -> bytes:
+        """Write the chain export to ``path`` and return its bytes.
+
+        The bytes go to a temporary file beside ``path``, are fsynced, and
+        replace ``path`` in one rename, so a crash leaves the old file or the
+        new one, never a truncated chain.
+        """
         data = self.export_bytes()
-        with open(path, "wb") as fh:
-            fh.write(data)
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
         return data
 
     @classmethod

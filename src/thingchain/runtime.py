@@ -80,9 +80,6 @@ class Registry:
     def get(self, code_id: str) -> Behavior | None:
         return self._by_id.get(code_id)
 
-    def code_ids(self) -> list[str]:
-        return sorted(self._by_id)
-
 
 # --- argument helpers used by behavior implementations ----------------------
 
@@ -112,6 +109,30 @@ def want_account(args, index, what="account"):
     if len(value) != DIGEST_SIZE:
         raise Revert(BAD_ARGS, f"{what} must be {DIGEST_SIZE} bytes")
     return value
+
+
+class Members:
+    """An owner-managed set of accounts, stored as ``<prefix><account>`` keys.
+
+    The owner is always a member without being listed, and only the owner
+    can change the set.  `allow` and `revoke` take a method's ``(ctx, args)``
+    so a behavior can export them directly.
+    """
+
+    def __init__(self, prefix: bytes, unknown_reason: str):
+        self.prefix = prefix
+        self.unknown_reason = unknown_reason
+
+    def contains(self, ctx, account: bytes) -> bool:
+        return account == ctx.owner or ctx.get(self.prefix + account) is not None
+
+    def allow(self, ctx, args):
+        ctx.require_owner()
+        ctx.set(self.prefix + want_account(args, 0), b"\x01")
+
+    def revoke(self, ctx, args):
+        ctx.require_owner()
+        ctx.remove(self.prefix + want_account(args, 0), self.unknown_reason)
 
 
 class CallContext:
@@ -170,6 +191,30 @@ class CallContext:
 
     def keys(self, prefix: bytes = b"") -> list[bytes]:
         return self._executor.world.storage_keys(self.address, prefix)
+
+    def require(self, key: bytes, reason: str, detail: str = "") -> bytes:
+        """The value at key; reverts with reason when it is absent."""
+        value = self.get(key)
+        if value is None:
+            raise Revert(reason, detail)
+        return value
+
+    def remove(self, key: bytes, reason: str, detail: str = "") -> None:
+        """Delete key; reverts with reason when it is absent."""
+        self.require(key, reason, detail)
+        self.delete(key)
+
+    def counter(self, seq_key: bytes) -> int:
+        """The u64 counter at seq_key; 0 before the first append."""
+        return int.from_bytes(self.get(seq_key) or b"", "big")
+
+    def append(self, seq_key: bytes, prefix: bytes, value: bytes) -> int:
+        """Store value at prefix + u64(n), n being the counter at seq_key;
+        advance the counter and return n."""
+        n = self.counter(seq_key)
+        self.set(prefix + enc_u64(n), value)
+        self.set(seq_key, enc_u64(n + 1))
+        return n
 
     # --- tokens and events --------------------------------------------------
 
