@@ -14,19 +14,13 @@ import sys
 import threading
 
 from .chain import load_chain
-from .codec import decode_values, encode_values
+from .codec import decode_values
 from .errors import ParseError, ResolutionError, ThingChainError
 from .gateway.service import Gateway, GatewayConfig, UdpTransport
 from .keys import Signer
 from .ledger import Node, replay
 from .resolver import audit_trail, resolve
-from .scenario import parse_value, run_scenario
-
-
-def _parse_args_spec(spec: str) -> bytes:
-    if not spec:
-        return b""
-    return encode_values([parse_value(tok) for tok in spec.split(",")])
+from .scenario import parse_args_spec, parse_key, run_scenario
 
 
 def _load_node(path) -> Node:
@@ -78,7 +72,7 @@ def cmd_init(args) -> int:
 def cmd_deploy(args) -> int:
     node = _load_node(args.chain)
     _, signer = node.create_account(args.owner_seed)
-    receipt, address = node.deploy(signer, args.code, _parse_args_spec(args.init),
+    receipt, address = node.deploy(signer, args.code, parse_args_spec(args.init),
                                    tokens=args.tokens)
     node.seal_block()
     node.export_chain(args.chain)
@@ -93,7 +87,7 @@ def cmd_call(args) -> int:
     node = _load_node(args.chain)
     _, signer = node.create_account(args.caller_seed)
     receipt = node.call(signer, bytes.fromhex(args.target), args.method,
-                        _parse_args_spec(args.args), tokens=args.tokens)
+                        parse_args_spec(args.args), tokens=args.tokens)
     node.seal_block()
     node.export_chain(args.chain)
     _print_receipt(receipt)
@@ -102,8 +96,7 @@ def cmd_call(args) -> int:
 
 def cmd_read(args) -> int:
     node = _load_node(args.chain)
-    key = parse_value(args.key)
-    key = key.encode() if isinstance(key, str) else key
+    key = parse_key(args.key)
     value = node.read_state(bytes.fromhex(args.target), key)
     if value is None:
         print("(absent)")
@@ -118,8 +111,7 @@ def cmd_read(args) -> int:
 
 def cmd_history(args) -> int:
     node = _load_node(args.chain)
-    key = parse_value(args.key)
-    key = key.encode() if isinstance(key, str) else key
+    key = parse_key(args.key)
     for height, value in node.history(bytes.fromhex(args.target), key):
         rendered = value.hex() if value is not None else "(deleted)"
         print(f"{height}\t{rendered}")

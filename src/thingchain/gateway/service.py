@@ -16,6 +16,7 @@ import socket as socket_module
 import threading
 import time
 from collections import OrderedDict, deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..codec import decode_values, encode_values
@@ -149,7 +150,6 @@ class Gateway:
         self.traffic: deque[tuple[str, str, bytes]] = deque(maxlen=TRAFFIC_LOG_SIZE)
         self._msg_counter = 0
         self._replies: OrderedDict[tuple[str, bytes], bytes] = OrderedDict()
-        self._batch_replies: list[tuple[str, bytes]] = []   # cached by the open serve batch
         self._lock = threading.RLock()
         self._requesters: dict[str, Signer] = {}
         self._thing_signers: dict[str, Signer] = {}
@@ -226,47 +226,26 @@ class Gateway:
     # request handling
 
     def handle_datagram(self, data: bytes, source: str = "") -> bytes:
-        """Translate one inbound datagram; always returns a reply datagram.
+        """Answer one inbound datagram, verified in process; always returns a
+        reply datagram.  It is a batch of one: `_answer_batch`, the one place
+        where a reply is sealed, cached and logged, answers it as it answers
+        the datagrams of a served batch."""
+        return self._answer_batch([(data, source)])[0]
 
-        A datagram byte-identical to an ACKed PUT or POST from the same source
-        (the message id is part of the bytes) is a retransmit: it gets the
-        same reply and is not applied again.  The newest REPLY_CACHE_SIZE such
-        replies are kept, in memory only.
-        """
-        with self._lock:
-            reply = self._replies.get((source, data))
-            if reply is None:
-                reply = self._translate(data, source)
-            if not self.node.in_batch:      # a batch logs what it sends at its end
-                self._log_exchange(data, source, reply)
-        return reply
-
-    def _log_exchange(self, data: bytes, source: str, reply: bytes) -> None:
-        self.traffic.append(("in", source, data))
-        self.traffic.append(("out", source, reply))
-
-    def _translate(self, data: bytes, source: str) -> bytes:
+    def _translate(self, data: bytes, source: str) -> wire.GatewayMessage:
         try:
             msg = wire.decode_message(data)
         except WireError as exc:
-            return wire.error(exc.message_id, exc.reason).encode()
+            return wire.error(exc.message_id, exc.reason)
         if msg.msg_type != wire.MSG_REQUEST:
-            return wire.error(msg.message_id, "NotARequest").encode()
+            return wire.error(msg.message_id, "NotARequest")
         try:
-            reply = self._route(msg, source)
+            return self._route(msg, source)
         except (Revert, WireError) as exc:
-            reply = wire.error(msg.message_id, exc.reason)
+            return wire.error(msg.message_id, exc.reason)
         except ThingChainError as exc:
             # unreachable for well-registered things, but never go silent
-            reply = wire.error(msg.message_id, type(exc).__name__)
-        encoded = reply.encode()
-        if reply.msg_type == wire.MSG_ACK and msg.code in (wire.PUT, wire.POST):
-            self._replies[(source, data)] = encoded
-            if len(self._replies) > REPLY_CACHE_SIZE:
-                self._replies.popitem(last=False)
-            if self.node.in_batch:
-                self._batch_replies.append((source, data))
-        return encoded
+            return wire.error(msg.message_id, type(exc).__name__)
 
     def _route(self, msg: wire.GatewayMessage, source: str) -> wire.GatewayMessage:
         path, _, query = msg.path.partition("?")
@@ -325,8 +304,8 @@ class Gateway:
 
     def _put_data(self, msg: wire.GatewayMessage, reg: ThingRegistration) -> wire.GatewayMessage:
         value, unit, tick = self._decode_put_payload(msg)
-        receipt = self._call(self._thing_signer(reg.thing_id), reg.feed_addr, "push",
-                             [value, unit, tick])
+        receipt = self.node.call(self._thing_signer(reg.thing_id), reg.feed_addr, "push",
+                                 encode_values([value, unit, tick]))
         if not receipt.ok:
             return wire.error(msg.message_id, receipt.reason)
         return wire.ack(msg.message_id, encode_values(["ok", receipt.return_value]))
@@ -342,42 +321,60 @@ class Gateway:
                 raise ValueError
         except Exception:
             raise WireError("BadPayload", msg.message_id) from None
-        receipt = self._call(requester, reg.actuation_addr, "request", [action, args])
+        receipt = self.node.call(requester, reg.actuation_addr, "request",
+                                 encode_values([action, args]))
         if not receipt.ok:
             return wire.error(msg.message_id, receipt.reason)
         if request_outcome(receipt.return_value) == DENIED:
             return wire.error(msg.message_id, "NotAuthorized")
         return wire.ack(msg.message_id, encode_values(["ok", receipt.return_value]))
 
-    def _call(self, signer: Signer, address: bytes, method: str, args: list):
-        """Submit one call; outside a serve batch it is sealed in its own block."""
-        receipt = self.node.call(signer, address, method, encode_values(args))
-        if not self.node.in_batch:
-            self.node.seal_block()
-        return receipt
+    def _answer_batch(self, requests: list[tuple[bytes, str]],
+                      verifier: Verifier | None = None) -> list[bytes]:
+        """Answer (datagram, source) requests: the one place where a reply is
+        sealed, cached and logged, for served and lone datagrams alike.
 
-    def _answer_batch(self, writes: list[tuple[bytes, str]], verifier: Verifier) -> list[bytes]:
-        """Answer (datagram, source) writes as one batch sealed as one block.
-
-        Its traffic is logged once it is sealed.  If a signature does not
-        verify, nothing of the batch is sealed, cached or logged, and each
-        datagram is answered on its own, verified in process, so the bad one
-        gets BadSignature.
+        With serve's ``verifier`` the requests run as one `Node.batch`, whose
+        worker checks their signatures, and seal as one block.  Without one
+        each request is verified in process, and one that submitted a
+        transaction, reverted or not, seals its own block.  A datagram
+        byte-identical to an ACKed PUT or POST from the same source (the
+        message id is part of the bytes) is a retransmit: it gets the same
+        reply and is not applied again.  The newest REPLY_CACHE_SIZE such
+        replies are kept, in memory only.  Traffic is logged once the
+        requests are sealed.  If a batched signature does not verify, nothing
+        of the batch is sealed, cached or logged, and each datagram is
+        answered on its own, so the bad one gets BadSignature.
         """
+        node = self.node
         with self._lock:
+            cached = []       # reply-cache keys this call filled
             try:
-                with self.node.batch(verifier):
-                    replies = [self.handle_datagram(data, source) for data, source in writes]
+                with node.batch(verifier) if verifier is not None else nullcontext():
+                    replies = []
+                    for data, source in requests:
+                        reply = self._replies.get((source, data))
+                        if reply is None:
+                            staged = node.height, node.pending_count
+                            msg = self._translate(data, source)
+                            if verifier is None and (node.height, node.pending_count) != staged:
+                                node.seal_block()
+                            reply = msg.encode()
+                            if msg.msg_type == wire.MSG_ACK and wire.is_write(data):
+                                cached.append((source, data))
+                                self._replies[(source, data)] = reply
+                                if len(self._replies) > REPLY_CACHE_SIZE:
+                                    self._replies.popitem(last=False)
+                        replies.append(reply)
             except BaseException as exc:
-                for key in self._batch_replies:
+                for key in cached:
                     self._replies.pop(key, None)
-                if not isinstance(exc, BadSignature):
+                if verifier is None or not isinstance(exc, BadSignature):
                     raise
-                return [self.handle_datagram(data, source) for data, source in writes]
-            finally:
-                self._batch_replies.clear()
-            for (data, source), reply in zip(writes, replies):
-                self._log_exchange(data, source, reply)
+                return [self.handle_datagram(data, source) for data, source in requests]
+            for (data, source), reply in zip(requests, replies):
+                self.traffic.append(("in", source, data))
+                self.traffic.append(("out", source, reply))
             return replies
 
     # ------------------------------------------------------------------
@@ -395,8 +392,11 @@ class Gateway:
 
     def _deliver_with_retry(self, describe: tuple, destination: str, data: bytes,
                             deliver) -> int:
-        """Call ``deliver(destination, data)`` until it returns, with capped
-        exponential backoff; returns 1, or 0 once the event is dead-lettered."""
+        """Call ``deliver(destination, data)`` until it returns, at most
+        MAX_DELIVERY_ATTEMPTS times; returns 1, or 0 once the event is
+        dead-lettered.  Between attempts it calls ``sleep_fn`` with a capped
+        exponential backoff in ticks, when the gateway was given one; without
+        one (``thingchain gateway`` gives none) the attempts run back to back."""
         backoff = RETRY_BASE_TICKS
         for attempt in range(1, MAX_DELIVERY_ATTEMPTS + 1):
             try:

@@ -121,11 +121,6 @@ class Node:
         with self._lock:
             return self.config.tx_cap - len(self._pending)
 
-    @property
-    def in_batch(self) -> bool:
-        """Whether a `batch` is open; its transactions seal only at its end."""
-        return self._verifier is not None
-
     def submit(self, tx: Transaction):
         """Validate, execute and stage a transaction; returns its receipt.
 

@@ -68,6 +68,20 @@ def parse_value(token: str, account=None, address=None):
     return parse(body)
 
 
+def parse_args_spec(spec: str, account=None, address=None) -> bytes:
+    """Encode comma-separated typed tokens as call arguments; "" is none."""
+    if not spec:
+        return b""
+    return encode_values([parse_value(tok, account, address) for tok in spec.split(",")])
+
+
+def parse_key(token: str, account=None, address=None):
+    """``parse_value`` for a storage key or value: a str: token gives its
+    UTF-8 bytes."""
+    value = parse_value(token, account, address)
+    return value.encode() if isinstance(value, str) else value
+
+
 class SimThing:
     """A simulated sensor/actuator endpoint.
 
@@ -234,12 +248,6 @@ class ScenarioRunner:
     # ------------------------------------------------------------------
     # value parsing
 
-    def _request(self, code: int, path: str, payload: bytes = b"") -> bytes:
-        """A request datagram with a fresh message id, so that two steps never
-        send identical bytes, which the gateway would take for a retransmit."""
-        self._message_id = (self._message_id + 1) & 0xFFFF
-        return wire.request(code, self._message_id, path, payload).encode()
-
     def _account(self, name: str) -> Signer:
         signer = self.accounts.get(name)
         if signer is None:
@@ -262,23 +270,18 @@ class ScenarioRunner:
             return value
         return bytes.fromhex(ref)
 
-    def _value_token(self, token: str):
-        """``parse_value`` with @symbols and the run's named accounts; a
-        token without a known type fails the step."""
-        kind, sep, _ = token.partition(":")
-        if not sep:
-            raise StepFailed(-1, f"untyped value {token!r}")
-        if kind not in _VALUE_PARSERS:
-            raise StepFailed(-1, f"unknown value type {kind!r}")
-        return parse_value(token, account=self._account_id, address=self._address)
-
     def _account_id(self, ref: str) -> bytes:
         return self._address(ref) if ref.startswith("@") else self._account(ref).account
 
+    # the token parsers, with @symbols and the run's named accounts
+    def _value_token(self, token: str):
+        return parse_value(token, self._account_id, self._address)
+
+    def _key_token(self, token: str):
+        return parse_key(token, self._account_id, self._address)
+
     def _args(self, spec: str) -> bytes:
-        if not spec:
-            return b""
-        return encode_values([self._value_token(tok) for tok in spec.split(",")])
+        return parse_args_spec(spec, self._account_id, self._address)
 
     # ------------------------------------------------------------------
 
@@ -362,6 +365,8 @@ class ScenarioRunner:
             raise
         except ResolutionError as exc:
             raise StepFailed(step.index, f"{type(exc).__name__}: {exc}") from None
+        except ValueError as exc:      # a malformed number, token or value in the step
+            raise StepFailed(step.index, str(exc)) from None
 
     @staticmethod
     def _need(step: Step, key: str) -> str:
@@ -469,12 +474,9 @@ class ScenarioRunner:
             thing = self.things.get(thing_id)
             if thing is None:
                 raise StepFailed(step.index, f"unregistered thing {thing_id!r}")
-            gateway = self._require_gateway()
             for _ in range(count):
-                value, unit, tick = thing.next_measurement()
-                msg = self._request(wire.PUT, f"/things/{thing_id}/data",
-                                    encode_values([value, unit, tick]))
-                reply = wire.decode_message(gateway.handle_datagram(msg, f"sim:{thing_id}"))
+                reply = self._exchange(wire.PUT, thing_id, "data",
+                                       encode_values(thing.next_measurement()))
                 if reply.msg_type != wire.MSG_ACK:
                     raise StepFailed(step.index,
                                      f"push rejected: {wire.error_reason(reply)[0]}")
@@ -517,9 +519,7 @@ class ScenarioRunner:
 
     def _verb_publish(self, step: Step):
         path = self._need(step, "path")
-        payload = self._value_token(self._need(step, "payload"))
-        if isinstance(payload, str):
-            payload = payload.encode()
+        payload = self._key_token(self._need(step, "payload"))
         if not isinstance(payload, bytes):
             raise StepFailed(step.index, "payload must be str: or hex:")
         receipt = self._call(step, "topic", "publish", encode_values([path, payload]))
@@ -633,29 +633,31 @@ class ScenarioRunner:
         gateway.allow_requester(self._need(step, "thing"), self._need(step, "endpoint"))
         return "", None
 
+    def _exchange(self, code: int, thing_id: str, action: str, payload: bytes = b"",
+                  source: str = "") -> wire.GatewayMessage:
+        """Send ``/things/<thing_id>/<action>`` to the gateway from ``source``
+        (the thing's own endpoint by default) and decode the reply.  Each
+        request gets a fresh message id, so that two steps never send
+        identical bytes, which the gateway would take for a retransmit."""
+        self._message_id = (self._message_id + 1) & 0xFFFF
+        data = wire.request(code, self._message_id, f"/things/{thing_id}/{action}",
+                            payload).encode()
+        return wire.decode_message(
+            self._require_gateway().handle_datagram(data, source or f"sim:{thing_id}"))
+
     def _verb_thing_put(self, step: Step):
-        gateway = self._require_gateway()
         thing_id = self._need(step, "thing")
-        value = parse_milli(self._need(step, "value"))
-        unit = step.kv.get("unit", "C")
-        payload = [value, unit]
+        payload = [parse_milli(self._need(step, "value")), step.kv.get("unit", "C")]
         if "tick" in step.kv:
             payload.append(int(step.kv["tick"]))
-        msg = self._request(wire.PUT, f"/things/{thing_id}/data", encode_values(payload))
-        reply = wire.decode_message(gateway.handle_datagram(msg, f"sim:{thing_id}"))
-        return self._check_reply(step, reply)
+        return self._check_reply(step, self._exchange(wire.PUT, thing_id, "data",
+                                                      encode_values(payload)))
 
     def _verb_thing_get(self, step: Step):
-        gateway = self._require_gateway()
         thing_id = self._need(step, "thing")
         what = step.kv.get("what", "last")
-        if what == "last":
-            path = f"/things/{thing_id}/last"
-        else:
-            path = (f"/things/{thing_id}/stats?from={step.kv.get('from', '0')}"
-                    f"&to={step.kv.get('to', str(2**62))}")
-        reply = wire.decode_message(
-            gateway.handle_datagram(self._request(wire.GET, path), f"sim:{thing_id}"))
+        reply = self._exchange(wire.GET, thing_id, "last" if what == "last" else (
+            f"stats?from={step.kv.get('from', '0')}&to={step.kv.get('to', str(2**62))}"))
         detail, receipt = self._check_reply(step, reply)
         if reply.msg_type == wire.MSG_ACK and what == "last" and "value" in step.kv:
             got = decode_values(reply.payload)[0]
@@ -667,15 +669,12 @@ class ScenarioRunner:
         return detail, receipt
 
     def _verb_thing_post(self, step: Step):
-        gateway = self._require_gateway()
         thing_id = self._need(step, "thing")
         endpoint = self._need(step, "from")
-        action = self._need(step, "action")
-        args = self._args(step.kv.get("args", "")) or b""
-        msg = self._request(wire.POST, f"/things/{thing_id}/actuate",
-                            encode_values([action, args]))
-        reply = wire.decode_message(gateway.handle_datagram(msg, endpoint))
-        return self._check_reply(step, reply)
+        payload = encode_values([self._need(step, "action"),
+                                 self._args(step.kv.get("args", ""))])
+        return self._check_reply(step, self._exchange(wire.POST, thing_id, "actuate",
+                                                      payload, endpoint))
 
     def _check_reply(self, step: Step, reply: wire.GatewayMessage):
         expected = step.kv.get("expect", "ok")
@@ -722,15 +721,13 @@ class ScenarioRunner:
             return f"supply {got}", None
         if kind == "read":
             target = self._address(self._need(step, "target"))
-            key = self._value_token(self._need(step, "key"))
-            key = key.encode() if isinstance(key, str) else key
+            key = self._key_token(self._need(step, "key"))
             got = node.read_state(target, key)
             if step.kv.get("absent") == "true":
                 if got is not None:
                     raise StepFailed(step.index, "expected absent key")
                 return "absent", None
-            want = self._value_token(self._need(step, "value"))
-            want = want.encode() if isinstance(want, str) else want
+            want = self._key_token(self._need(step, "value"))
             if got != want:
                 raise StepFailed(step.index, f"read {got!r} != {want!r}")
             return "value matches", None
@@ -757,8 +754,7 @@ class ScenarioRunner:
                     f"avg {format_milli(avg)} count {count}"), None
         if kind == "history":
             target = self._address(self._need(step, "target"))
-            key = self._value_token(self._need(step, "key"))
-            key = key.encode() if isinstance(key, str) else key
+            key = self._key_token(self._need(step, "key"))
             entries = node.history(target, key)
             want = int(self._need(step, "count"))
             if len(entries) != want:

@@ -38,3 +38,17 @@ def test_seed_7_run_is_bit_identical(tmp_path, capsys, script, tx_count, state_d
     assert re.search(r"^transactions: (\d+)$", out, re.M).group(1) == str(tx_count)
     assert re.search(r"^state digest: ([0-9a-f]{64})$", out, re.M).group(1) == state_digest
     assert hashlib.sha256(export.read_bytes()).hexdigest() == export_sha256
+
+
+REPORT_ORACLE = [
+    ("smart_building.scn", "9175c2796aa631f5575073c7ff28e895e96935b591c36d5b131ab4183f09d5c2"),
+    ("zones.scn", "02bf1fee85e91a56ad212a44eb352a5f57679d4401e1bd75b9195f5762a1fb00"),
+]
+
+
+@pytest.mark.parametrize("script, report_sha256", REPORT_ORACLE)
+def test_seed_7_json_report_is_bit_identical(capsys, script, report_sha256):
+    path = str(resource_files("thingchain") / "scenarios" / script)
+    assert cli.main(["run", path, "--seed", "7", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == report_sha256

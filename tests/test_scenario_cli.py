@@ -256,3 +256,25 @@ def test_repeated_gateway_writes_are_each_applied():
         "assert kind=history target=@t1.feed key=str:last count=2\n",
         seed=4)
     assert report.exit_code == 0, report.failure
+
+
+@pytest.mark.parametrize("bad_step, failure", [
+    ("call target=@f caller=alice method=push args=int:abc,str:C,int:2",
+     "invalid literal for int() with base 10: 'abc'"),
+    ("transfer from=alice to=alice tokens=ten", "invalid literal for int() with base 10: 'ten'"),
+    ("call target=@f caller=alice method=push args=abc", "untyped value 'abc' (use str:"),
+], ids=["bad-int-token", "bad-tokens", "untyped-token"])
+def test_malformed_value_fails_its_step_and_keeps_the_report(tmp_path, capsys, bad_step,
+                                                             failure):
+    import json
+
+    script = tmp_path / "bad_value.scn"
+    script.write_text(ECHO_SCRIPT + bad_step + "\nseal\n")
+    code, out, err = run_cli(capsys, "run", str(script), "--json")
+    assert code == 1 and err == ""
+    data = json.loads(out)
+    assert data["exit_code"] == 1
+    assert [s["status"] for s in data["steps"]] == ["ok"] * 4 + ["failed"]
+    assert [s["verb"] for s in data["steps"][:4]] == ["account", "deploy", "push", "assert"]
+    assert data["failure"].startswith(f"step 4: {failure}")
+    assert data["final_digest"]
