@@ -4,14 +4,16 @@ history queries and full replay.
 Submissions execute immediately against a pending-block overlay and return
 their receipt; `seal_block` commits the batch.  External reads (balances,
 read_state, history, state digest) always observe the last sealed block.
-`Node.batch` and replay check signatures in a `Verifier` worker process
-while this process executes.
+`Node.batch` checks signatures in a `Verifier` worker process while this
+process executes.  Replay does too, and this process also verifies, in
+place of waiting for the worker, the signatures not yet sent to it.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections import deque
 from contextlib import contextmanager, nullcontext, suppress
 
 from .chain import (
@@ -343,11 +345,14 @@ class Node:
 
         Raises BrokenChain(height) on any link, hash, signature or
         re-execution mismatch.  Each transaction's signature is verified
-        once, by one `Verifier` worker process: the signatures of each block
-        are sent to it up to ``_REPLAY_AHEAD`` blocks before this process
-        re-executes that block, and the block's verdicts are read just before
-        its transactions run.  No worker is started for a chain without
-        transactions; if the worker dies, ChildProcessError is raised.
+        once, in one of two lanes (`_ReplayLanes`): one `Verifier` worker
+        process, kept ``_REPLAY_AHEAD`` signatures ahead of this process,
+        or this process itself, which verifies the next signature not yet
+        sent to the worker whenever a block's verdicts are not back in
+        time.  A block's verdicts are read after its header checks and
+        before its transactions run.  No worker is started for a chain
+        without transactions; if the worker dies, ChildProcessError is
+        raised.
         """
         node = cls.__new__(cls)
         node._init_from_config(config, registry)
@@ -356,18 +361,15 @@ class Node:
         if blocks[0].encode() != node.blocks[0].encode():
             raise BrokenChain(0, "genesis does not match configuration")
         body = blocks[1:]
-        signed = any(block.txs for block in body)
-        sent = 0       # blocks whose signatures the verifier has
-        with Verifier() if signed else nullcontext() as verifier:
+        txs = [tx for block in body for tx in block.txs]
+        with Verifier() if txs else nullcontext() as verifier:
+            lanes = _ReplayLanes(verifier, txs)
             for height, block in enumerate(body, start=1):
-                while signed and sent < min(len(body), height + _REPLAY_AHEAD):
-                    verifier.send([_signed(tx) for tx in body[sent].txs])
-                    sent += 1
-                node._replay_block(height, block, verifier)
+                node._replay_block(height, block, lanes)
         return node
 
-    def _replay_block(self, height: int, block: Block, verifier) -> None:
-        """Replay one block, whose signatures were sent to ``verifier``."""
+    def _replay_block(self, height: int, block: Block, lanes: "_ReplayLanes") -> None:
+        """Replay one block, taking its signature verdicts from ``lanes``."""
         if block.height != height:
             raise BrokenChain(height, f"height field says {block.height}")
         if block.prev_hash != self.blocks[-1].block_hash:
@@ -378,7 +380,7 @@ class Node:
             raise BrokenChain(height, "stored block hash is wrong")
         if len(block.receipts) != len(block.txs):
             raise BrokenChain(height, "receipt count != tx count")
-        verdicts = verifier.take(len(block.txs)) if block.txs else b""
+        verdicts = lanes.take(len(block.txs)) if block.txs else b""
         for tx, stored, verified in zip(block.txs, block.receipts, verdicts):
             if not verified:
                 raise BrokenChain(height, "transaction signature does not verify")
@@ -395,8 +397,7 @@ class Node:
 
 
 _BATCH_CHUNK = 2            # signatures per message a batch sends while it executes
-_REPLAY_AHEAD = 4           # blocks whose signatures replay sends before re-executing one;
-                            # fewer left the worker idle, all at once was slower
+_REPLAY_AHEAD = 64          # signatures replay keeps unanswered at its worker (ROADMAP item 6)
 _VERDICTS_IN_FLIGHT = 4096  # signatures sent and unanswered before `send` reads replies
 
 
@@ -432,11 +433,14 @@ class Verifier:
     worker is forked on construction, so nothing of this module is pickled
     for it, and it runs the ``verify_signature`` the module holds then.
     Verification holds the interpreter lock, so it runs on another CPU
-    while the caller executes.  ``send`` reads finished verdicts itself
-    before more than ``_VERDICTS_IN_FLIGHT`` would be outstanding, so
-    neither pipe fills up whatever the caller's pace.  ``close``, or
-    leaving a ``with`` block, terminates and joins the worker; if it dies,
-    ``take`` or ``send`` raises ChildProcessError.
+    while the caller executes.  ``take_ready`` returns, without waiting,
+    the verdicts already back, so a caller with other work to do (replay's
+    `_ReplayLanes`) need not block in ``take``.  ``send`` reads finished
+    verdicts itself before more than ``_VERDICTS_IN_FLIGHT`` would be
+    outstanding, so neither pipe fills up whatever the caller's pace.
+    ``close``, or leaving a ``with`` block, terminates and joins the worker;
+    if it dies, ``take``, ``take_ready`` or ``send`` raises
+    ChildProcessError.
     """
 
     def __init__(self):
@@ -475,6 +479,13 @@ class Verifier:
         del self._ready[:count]
         return verdicts
 
+    def take_ready(self) -> bytes:
+        """Return every verdict the worker has answered so far, without
+        waiting for more."""
+        while self._in_flight and self._verdicts.poll():
+            self._receive()
+        return self.take(len(self._ready))
+
     def _receive(self) -> None:
         try:
             chunk = self._verdicts.recv_bytes()
@@ -500,6 +511,65 @@ class Verifier:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class _ReplayLanes:
+    """A replay's signature verdicts, in chain order, from two lanes.
+
+    Each signature is handed out once, in chain order: sent to the worker
+    of ``verifier``, which is topped up to ``_REPLAY_AHEAD`` unanswered
+    signatures, or verified in this process.  `take` returns the verdicts
+    of the next ``count`` transactions.  While one of them is still with
+    the worker, this process tops the worker up and verifies the next
+    signature that nobody has started (work-stealing: Blumofe and
+    Leiserson, JACM 1999), and waits only when every signature is handed
+    out.  A thread would not help: the verify call holds the interpreter
+    lock.
+    """
+
+    def __init__(self, verifier: Verifier | None, txs: list[Transaction]):
+        self._verifier = verifier
+        self._txs = txs
+        self._verdicts = bytearray(len(txs))
+        self._handed = 0         # signatures sent to the worker or verified here
+        self._taken = 0          # verdicts returned by `take`
+        self._at_worker = deque()   # indices sent to the worker and not yet answered
+
+    def take(self, count: int) -> bytes:
+        start, stop = self._taken, self._taken + count
+        while True:
+            self._collect(self._verifier.take_ready())
+            self._top_up()
+            if stop <= self._handed and not (self._at_worker and self._at_worker[0] < stop):
+                break
+            if self._handed < len(self._txs):
+                tx = self._txs[self._handed]
+                self._verdicts[self._handed] = verify_signature(*_signed(tx))
+                self._handed += 1
+            else:
+                self._collect(self._verifier.take(1))
+        self._taken = stop
+        return bytes(self._verdicts[start:stop])
+
+    def _top_up(self) -> None:
+        """Send the next signatures to the worker until it has
+        ``_REPLAY_AHEAD`` unanswered, a quarter of that to a message: the
+        worker answers a message whole, so smaller messages bring verdicts
+        back sooner and leave it one to go on with while this process reads
+        an answer."""
+        start, per_message = self._handed, _REPLAY_AHEAD // 4
+        stop = min(len(self._txs), start + _REPLAY_AHEAD - len(self._at_worker))
+        for first in range(start, stop, per_message):
+            chunk = self._txs[first:min(stop, first + per_message)]
+            self._verifier.send([_signed(tx) for tx in chunk])
+        self._at_worker.extend(range(start, stop))
+        self._handed = stop
+
+    def _collect(self, verdicts: bytes) -> None:
+        """File the worker's ``verdicts``, which come in the order it was
+        sent the signatures."""
+        for verdict in verdicts:
+            self._verdicts[self._at_worker.popleft()] = verdict
 
 
 def replay(source) -> bytes:
