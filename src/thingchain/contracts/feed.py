@@ -11,6 +11,8 @@ State layout:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from ..codec import decode_values, enc_u64, encode_values
 from ..runtime import Behavior, Members, NOT_AUTHORIZED, Revert, want_int, want_str
 from ..units import div_half_up
@@ -60,24 +62,27 @@ class FeedContract(Behavior):
     def stats(self, ctx, args):
         """Aggregate over ticks in [from, to]: returns [min, max, avg, count].
 
-        The average is rounded half-up at the 10^-3 scale.
+        Ticks never decrease (push reverts with TickRegression), so two
+        bisections find the window's first and last sample and only the
+        window is read: O(log n + window) samples of n.  The average is
+        rounded half-up at the 10^-3 scale.
         """
         lo = want_int(args, 0, "window start tick")
         hi = want_int(args, 1, "window end tick")
-        count = ctx.counter(COUNT_KEY)
-        total = 0
-        seen = 0
-        vmin = vmax = 0
-        for index in range(count):
-            value, _, tick = decode_measurement(ctx.get(MEASUREMENT_PREFIX + enc_u64(index)))
-            if lo <= tick <= hi:
-                if seen == 0:
-                    vmin = vmax = value
-                else:
-                    vmin = min(vmin, value)
-                    vmax = max(vmax, value)
-                total += value
-                seen += 1
-        if seen == 0:
+
+        def sample(index: int) -> tuple[int, str, int]:
+            return decode_measurement(ctx.get(MEASUREMENT_PREFIX + enc_u64(index)))
+
+        def tick(index: int) -> int:
+            return sample(index)[2]
+
+        samples = range(ctx.counter(COUNT_KEY))
+        first = bisect_left(samples, lo, key=tick)
+        end = bisect_right(samples, hi, lo=first, key=tick)
+        if first == end:
             raise Revert("EmptyWindow")
-        return encode_values([vmin, vmax, div_half_up(total, seen), seen])
+        vmin = vmax = total = sample(first)[0]
+        for index in samples[first + 1:end]:
+            value = sample(index)[0]
+            vmin, vmax, total = min(vmin, value), max(vmax, value), total + value
+        return encode_values([vmin, vmax, div_half_up(total, end - first), end - first])

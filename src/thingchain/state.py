@@ -9,19 +9,29 @@ signatures do not all verify.
 
 Contract storage is committed per contract: its base maps each address to
 that contract's own ``{key: value}`` dict, while the block and transaction
-overlays stay flat ``(address, key)`` dicts.  Listing one contract's keys, and
-the state digest's walk over every contract, therefore touch only that
-contract's committed keys plus its entries in the small overlays.
+overlays stay flat ``(address, key)`` dicts.  Listing one contract's keys
+therefore touches only that contract's committed keys plus its entries in the
+small overlays.
+
+The state digest is incremental.  From its first call on, a ``WorldState``
+keeps each contract's encoded digest section, and committed state marks a
+contract stale at the only two places it changes: the contract map's commit
+and the storage map's commit (tombstone deletes included).  A later digest
+re-encodes only the stale sections and hashes every section in address
+order, so it costs the contracts committed since the last digest plus one
+hashing pass, and its value is the one a full re-encoding gives.
 """
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from dataclasses import dataclass, replace
 
-from .codec import enc_bytes, enc_str, enc_u8, enc_u32, enc_u64
-from .keys import digest
+from .codec import enc_str, enc_u8, enc_u32, enc_u64
 
 _TOMBSTONE = object()
+_U32 = struct.Struct(">I").pack
 
 
 class LayeredMap:
@@ -30,6 +40,7 @@ class LayeredMap:
     def __init__(self):
         self.base: dict = {}
         self.layers: list[dict] = []
+        self.stale: set | None = None     # keys committed since the last digest, if tracked
 
     def push(self) -> None:
         self.layers.append({})
@@ -73,11 +84,14 @@ class LayeredMap:
 
     def _commit(self, layer: dict) -> None:
         self.base.update(layer)
+        if self.stale is not None:
+            self.stale.update(layer)
 
 
 class StorageMap(LayeredMap):
     """Contract storage: overlays keyed by (address, key), and a committed
     base nested by address (address -> {key: value}) that holds no tombstones.
+    Its stale set holds addresses.
     """
 
     def _committed(self, key):
@@ -90,6 +104,8 @@ class StorageMap(LayeredMap):
                 self.base.get(address, {}).pop(name, None)
             else:
                 self.base.setdefault(address, {})[name] = value
+        if self.stale is not None:
+            self.stale.update(address for address, _ in layer)
 
     def contract_keys(self, address: bytes, prefix: bytes = b"",
                       committed_only: bool = False) -> list[bytes]:
@@ -117,6 +133,8 @@ class WorldState:
         self.nonces = LayeredMap()        # account id -> int
         self.contracts = LayeredMap()     # address -> ContractMeta
         self.storage = StorageMap()       # address -> {key: bytes}
+        # address -> encoded digest section; None in a committed view
+        self._sections: dict[bytes, bytes] | None = {}
 
     def _maps(self):
         return (self.balances, self.nonces, self.contracts, self.storage)
@@ -134,10 +152,13 @@ class WorldState:
 
         Used for read-only calls; writers must never touch a view (the static
         execution guards enforce this before any mutation path is reached).
+        A view caches no digest sections: its owner's later commits mark only
+        the owner's sections stale.
         """
         view = WorldState()
         for mine, theirs in zip(view._maps(), self._maps()):
             mine.base = theirs.base
+        view._sections = None
         return view
 
     # --- accounts ------------------------------------------------------
@@ -189,37 +210,54 @@ class WorldState:
 
         Accounts at (balance 0, nonce 0) are omitted so a replayed chain and a
         live node agree even when the live node knows extra never-used keys.
+        The first call encodes every contract's section and keeps it; a later
+        call re-encodes only the contracts committed since the call before, so
+        its cost is those contracts plus one hashing pass over all sections.
         """
-        contract_addrs = set(self.contracts.keys(committed_only=True))
+        contract_addrs = self.contracts.keys(committed_only=True)
         account_ids = set(self.balances.keys(committed_only=True))
         account_ids.update(self.nonces.keys(committed_only=True))
+        account_ids.difference_update(contract_addrs)
         accounts = []
-        for acct in sorted(account_ids - contract_addrs):
+        for acct in sorted(account_ids):
             bal = self.balance(acct, committed_only=True)
             non = self.nonce(acct, committed_only=True)
             if bal or non:
-                accounts.append((acct, bal, non))
+                accounts.append(acct + enc_u64(bal) + enc_u64(non))
 
-        parts = [enc_u32(len(accounts))]
-        for acct, bal, non in accounts:
-            parts += [acct, enc_u64(bal), enc_u64(non)]
+        h = hashlib.sha256(b"state:")
+        h.update(enc_u32(len(accounts)))
+        h.update(b"".join(accounts))
+        h.update(enc_u32(len(contract_addrs)))
+        sections = self._sections
+        if sections is None:                   # a committed view: encode all, keep none
+            sections = {}
+        elif self.storage.stale is None:       # the first digest: track from now on
+            self.contracts.stale = self.storage.stale = set()
+        else:
+            for addr in self.storage.stale:
+                sections.pop(addr, None)
+            self.storage.stale.clear()
+        for addr in contract_addrs:
+            section = sections.get(addr)
+            if section is None:
+                section = sections[addr] = self._section(addr)
+            h.update(section)
+        return h.digest()
 
-        addrs = sorted(contract_addrs)
-        parts.append(enc_u32(len(addrs)))
-        for addr in addrs:
-            meta = self.contract(addr, committed_only=True)
-            parts += [
-                addr,
-                enc_str(meta.code_id),
-                meta.owner,
-                enc_u64(meta.balance),
-                enc_u8(1 if meta.killed else 0),
-            ]
-            slots = self.storage.base.get(addr, {})
-            parts.append(enc_u32(len(slots)))
-            for key in sorted(slots):
-                parts += [enc_bytes(key), enc_bytes(slots[key])]
-        return digest(b"state:" + b"".join(parts))
+    def _section(self, addr: bytes) -> bytes:
+        """One contract's part of the digest: its metadata, then its committed
+        key/value pairs in key order."""
+        meta = self.contract(addr, committed_only=True)
+        slots = self.storage.base.get(addr, {})
+        parts = [addr, enc_str(meta.code_id), meta.owner, enc_u64(meta.balance),
+                 enc_u8(1 if meta.killed else 0), enc_u32(len(slots))]
+        for key in sorted(slots):
+            value = slots[key]
+            # enc_bytes(key) + enc_bytes(value), unrolled: this loop is most
+            # of the first digest, which replay and every CLI command pay
+            parts += (_U32(len(key)), key, _U32(len(value)), value)
+        return b"".join(parts)
 
     def total_supply(self, committed_only: bool = False) -> int:
         """Sum of all account and contract balances (conservation check)."""
