@@ -4,9 +4,8 @@ history queries and full replay.
 Submissions execute immediately against a pending-block overlay and return
 their receipt; `seal_block` commits the batch.  External reads (balances,
 read_state, history, state digest) always observe the last sealed block.
-`Node.batch` checks signatures in a `Verifier` worker process while this
-process executes.  Replay does too, and this process also verifies, in
-place of waiting for the worker, the signatures not yet sent to it.
+`Node.batch` and replay check signatures through `_Lanes`: in a `Verifier`
+worker process, and in this process in place of waiting for the worker.
 """
 
 from __future__ import annotations
@@ -67,8 +66,7 @@ class Node:
         self._history: dict[tuple[bytes, bytes], list] = {}
         self._pending: list[tuple[Transaction, object]] = []
         self._pending_writes: list[tuple[bytes, bytes, bytes | None]] = []
-        self._verifier: Verifier | None = None   # set while a batch is open
-        self._unsent: list[tuple[bytes, bytes, bytes]] = []   # its signatures not yet sent
+        self._lanes: _Lanes | None = None   # set while a batch is open
         self._lock = threading.RLock()
         self.world.push_layer()   # overlay for the block being built
 
@@ -128,12 +126,12 @@ class Node:
 
         Invalid transactions raise a SubmitError subclass and leave no trace.
         The block auto-seals once the per-block transaction cap is reached.
-        Inside a `batch` the signature is verified by the batch's worker
+        Inside a `batch` the signature is verified by the batch's lanes
         instead, nothing auto-seals, and a transaction that would take the
         block past the cap raises SubmitError.
         """
         with self._lock:
-            if self._verifier is None:
+            if self._lanes is None:
                 receipt = self._execute_pending(tx)
                 if len(self._pending) >= self.config.tx_cap:
                     self._seal_locked()
@@ -141,10 +139,7 @@ class Node:
             if self.batch_room() <= 0:
                 raise SubmitError("the batch's block is full")
             receipt = self._execute_pending(tx, signature_checked=True)
-            self._unsent.append(_signed(tx))
-            if len(self._unsent) == _BATCH_CHUNK:
-                self._verifier.send(self._unsent)
-                self._unsent = []
+            self._lanes.add((tx,))
             return receipt
 
     def _execute_pending(self, tx: Transaction, signature_checked: bool = False):
@@ -164,25 +159,24 @@ class Node:
 
         This is execute-order-validate on the single sequencer: each `submit`
         validates and executes its transaction at once, in a batch layer over
-        the pending block, and streams its signature to ``verifier`` in chunks
-        of ``_BATCH_CHUNK``.  On leaving the block the batch waits for the
-        verdicts and, if every one is true, seals one block (none if the batch
-        staged nothing).  If a verdict is false it raises BadSignature; then,
-        and on any exception from the block or the verifier, the batch layer
-        is dropped and the pending block is as it was before the batch.  The
+        the pending block, and adds it to the batch's `_Lanes` over
+        ``verifier``.  On leaving the block the batch takes the verdicts and,
+        if every one is true, seals one block (none if the batch staged
+        nothing).  If a verdict is false it raises BadSignature; then, and on
+        any exception from the block or the verifier, the batch layer is
+        dropped and the pending block is as it was before the batch.  The
         verifier is left in step only after a normal exit or BadSignature.
         The node's lock is held throughout.
         """
         with self._lock:
-            if self._verifier is not None:
+            if self._lanes is not None:
                 raise RuntimeError("batches do not nest")
             staged, written = len(self._pending), len(self._pending_writes)
             self.world.push_layer()
-            self._verifier, self._unsent = verifier, []
+            self._lanes = _Lanes(verifier)
             try:
                 yield
-                verifier.send(self._unsent)
-                verdicts = verifier.take(len(self._pending) - staged)
+                verdicts = self._lanes.take(len(self._pending) - staged)
                 if not all(verdicts):
                     raise BadSignature(
                         f"batched transaction {verdicts.index(0)} does not verify")
@@ -192,7 +186,7 @@ class Node:
                 del self._pending_writes[written:]
                 raise
             finally:
-                self._verifier, self._unsent = None, []
+                self._lanes = None
             self.world.pop_layer(merge=True)
             if len(self._pending) > staged:
                 self.seal_block()
@@ -219,7 +213,7 @@ class Node:
         """Seal pending transactions (possibly none) into the next block;
         inside a `batch` only the batch seals."""
         with self._lock:
-            if self._verifier is not None:
+            if self._lanes is not None:
                 raise RuntimeError("seal_block inside a batch")
             return self._seal_locked()
 
@@ -344,15 +338,13 @@ class Node:
         """Rebuild a node by re-validating and re-executing a block list.
 
         Raises BrokenChain(height) on any link, hash, signature or
-        re-execution mismatch.  Each transaction's signature is verified
-        once, in one of two lanes (`_ReplayLanes`): one `Verifier` worker
-        process, kept ``_REPLAY_AHEAD`` signatures ahead of this process,
-        or this process itself, which verifies the next signature not yet
-        sent to the worker whenever a block's verdicts are not back in
-        time.  A block's verdicts are read after its header checks and
-        before its transactions run.  No worker is started for a chain
-        without transactions; if the worker dies, ChildProcessError is
-        raised.
+        re-execution mismatch.  Every transaction is added to one `_Lanes`
+        at the start, so each signature is verified once, by one `Verifier`
+        worker process, kept ``_REPLAY_AHEAD`` signatures ahead, or by this
+        process whenever a block's verdicts are not back in time.  A block's
+        verdicts are read after its header checks and before its
+        transactions run.  No worker is started for a chain without
+        transactions; if the worker dies, ChildProcessError is raised.
         """
         node = cls.__new__(cls)
         node._init_from_config(config, registry)
@@ -363,12 +355,13 @@ class Node:
         body = blocks[1:]
         txs = [tx for block in body for tx in block.txs]
         with Verifier() if txs else nullcontext() as verifier:
-            lanes = _ReplayLanes(verifier, txs)
+            lanes = _Lanes(verifier)
+            lanes.add(txs)
             for height, block in enumerate(body, start=1):
                 node._replay_block(height, block, lanes)
         return node
 
-    def _replay_block(self, height: int, block: Block, lanes: "_ReplayLanes") -> None:
+    def _replay_block(self, height: int, block: Block, lanes: "_Lanes") -> None:
         """Replay one block, taking its signature verdicts from ``lanes``."""
         if block.height != height:
             raise BrokenChain(height, f"height field says {block.height}")
@@ -380,7 +373,7 @@ class Node:
             raise BrokenChain(height, "stored block hash is wrong")
         if len(block.receipts) != len(block.txs):
             raise BrokenChain(height, "receipt count != tx count")
-        verdicts = lanes.take(len(block.txs)) if block.txs else b""
+        verdicts = lanes.take(len(block.txs))
         for tx, stored, verified in zip(block.txs, block.receipts, verdicts):
             if not verified:
                 raise BrokenChain(height, "transaction signature does not verify")
@@ -396,9 +389,7 @@ class Node:
             raise BrokenChain(height, "re-sealed block hash differs")
 
 
-_BATCH_CHUNK = 2            # signatures per message a batch sends while it executes
-_REPLAY_AHEAD = 64          # signatures replay keeps unanswered at its worker (ROADMAP item 6)
-_VERDICTS_IN_FLIGHT = 4096  # signatures sent and unanswered before `send` reads replies
+_REPLAY_AHEAD = 64   # most signatures `_Lanes` keeps unanswered at its worker (ROADMAP item 6)
 
 
 def _signed(tx: Transaction) -> tuple[bytes, bytes, bytes]:
@@ -407,15 +398,17 @@ def _signed(tx: Transaction) -> tuple[bytes, bytes, bytes]:
     return tx.sender_key, tx.signature, tx.signing_bytes()
 
 
-def _verify_requests(requests, verdicts) -> None:
+def _verify_requests(requests, verdicts, *parent_ends) -> None:
     """Worker body: answer each message of signature triples with one
-    verdict byte per triple, until the request pipe closes.  A terminal's
-    ctrl-c is left to the parent, and SIGTERM ends the worker whatever
-    handler the parent had installed."""
+    verdict byte per triple, until the request pipe closes, as it does once
+    the parent is gone, even if killed: the parent's ends are closed here.
+    Ctrl-c is left to the parent, and SIGTERM's default, exit, is restored."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    for end in parent_ends:
+        end.close()
     while True:
         try:
             triples = requests.recv()
@@ -434,13 +427,13 @@ class Verifier:
     for it, and it runs the ``verify_signature`` the module holds then.
     Verification holds the interpreter lock, so it runs on another CPU
     while the caller executes.  ``take_ready`` returns, without waiting,
-    the verdicts already back, so a caller with other work to do (replay's
-    `_ReplayLanes`) need not block in ``take``.  ``send`` reads finished
-    verdicts itself before more than ``_VERDICTS_IN_FLIGHT`` would be
-    outstanding, so neither pipe fills up whatever the caller's pace.
-    ``close``, or leaving a ``with`` block, terminates and joins the worker;
-    if it dies, ``take``, ``take_ready`` or ``send`` raises
-    ChildProcessError.
+    the verdicts already back, so a caller with other work to do
+    (`_Lanes`) need not block in ``take``.  `_Lanes` keeps at most
+    ``_REPLAY_AHEAD`` = 64 signatures unanswered, so neither pipe can fill:
+    64 triples are a few KB (13 KB for feed pushes) and 64 verdicts a few
+    hundred bytes, while a pipe holds 64 KB on Linux.  ``close``, or
+    leaving a ``with`` block, terminates and joins the worker; if it dies,
+    ``take``, ``take_ready`` or ``send`` raises ChildProcessError.
     """
 
     def __init__(self):
@@ -449,10 +442,9 @@ class Verifier:
         context = multiprocessing.get_context("fork")
         requests_in, self._requests = context.Pipe(duplex=False)
         self._verdicts, verdicts_out = context.Pipe(duplex=False)
-        self._worker = context.Process(target=_verify_requests, args=(requests_in, verdicts_out),
-                                       name="thingchain-verify")
+        self._worker = context.Process(target=_verify_requests, name="thingchain-verify", args=(
+            requests_in, verdicts_out, self._requests, self._verdicts))
         self._ready = bytearray()     # verdicts read from the worker and not yet taken
-        self._in_flight = 0           # signatures sent and not yet answered
         try:
             with requests_in, verdicts_out:   # the worker's ends stay open only in the worker
                 self._worker.start()
@@ -462,15 +454,10 @@ class Verifier:
             raise
 
     def send(self, triples: list) -> None:
-        if not triples:
-            return
-        while self._in_flight and self._in_flight + len(triples) > _VERDICTS_IN_FLIGHT:
-            self._receive()
         try:
             self._requests.send(triples)
         except BrokenPipeError:
             self._worker_exited()
-        self._in_flight += len(triples)
 
     def take(self, count: int) -> bytes:
         while len(self._ready) < count:
@@ -482,7 +469,7 @@ class Verifier:
     def take_ready(self) -> bytes:
         """Return every verdict the worker has answered so far, without
         waiting for more."""
-        while self._in_flight and self._verdicts.poll():
+        while self._verdicts.poll():
             self._receive()
         return self.take(len(self._ready))
 
@@ -492,7 +479,6 @@ class Verifier:
         except EOFError:       # the worker is gone before its last verdict
             self._worker_exited()
         self._ready += chunk
-        self._in_flight -= len(chunk)
 
     def _worker_exited(self):
         self._worker.join()
@@ -513,32 +499,36 @@ class Verifier:
         self.close()
 
 
-class _ReplayLanes:
-    """A replay's signature verdicts, in chain order, from two lanes.
+class _Lanes:
+    """Signature verdicts, in submission order, from two lanes.
 
-    Each signature is handed out once, in chain order: sent to the worker
-    of ``verifier``, which is topped up to ``_REPLAY_AHEAD`` unanswered
-    signatures, or verified in this process.  `take` returns the verdicts
-    of the next ``count`` transactions.  While one of them is still with
-    the worker, this process tops the worker up and verifies the next
-    signature that nobody has started (work-stealing: Blumofe and
-    Leiserson, JACM 1999), and waits only when every signature is handed
-    out.  A thread would not help: the verify call holds the interpreter
-    lock.
+    `add` takes transactions as they arrive: one per `submit` in a batch,
+    a whole chain in replay.  Each signature is handed out once, in order:
+    sent to the worker of ``verifier``, which every `add` and `take` tops up
+    to ``_REPLAY_AHEAD`` unanswered signatures, or verified in this process.
+    `take` returns the verdicts of the next ``count`` transactions.  While
+    one of them is still with the worker, this process tops the worker up
+    and verifies the next signature that nobody has started (work-stealing:
+    Blumofe and Leiserson, JACM 1999), and waits only when every signature
+    is handed out.
     """
 
-    def __init__(self, verifier: Verifier | None, txs: list[Transaction]):
-        self._verifier = verifier
-        self._txs = txs
-        self._verdicts = bytearray(len(txs))
+    def __init__(self, verifier: Verifier | None):
+        self._verifier = verifier   # None only while nothing is added
+        self._txs: list[Transaction] = []
+        self._verdicts = bytearray()
         self._handed = 0         # signatures sent to the worker or verified here
         self._taken = 0          # verdicts returned by `take`
         self._at_worker = deque()   # indices sent to the worker and not yet answered
 
+    def add(self, txs) -> None:
+        self._txs.extend(txs)
+        self._verdicts += bytes(len(txs))
+        self._top_up()
+
     def take(self, count: int) -> bytes:
         start, stop = self._taken, self._taken + count
         while True:
-            self._collect(self._verifier.take_ready())
             self._top_up()
             if stop <= self._handed and not (self._at_worker and self._at_worker[0] < stop):
                 break
@@ -552,11 +542,13 @@ class _ReplayLanes:
         return bytes(self._verdicts[start:stop])
 
     def _top_up(self) -> None:
-        """Send the next signatures to the worker until it has
-        ``_REPLAY_AHEAD`` unanswered, a quarter of that to a message: the
-        worker answers a message whole, so smaller messages bring verdicts
-        back sooner and leave it one to go on with while this process reads
-        an answer."""
+        """File the verdicts the worker has sent back, then send it the next
+        signatures until it has ``_REPLAY_AHEAD`` unanswered, at most a
+        quarter of that to a message: the worker answers a message whole, so
+        smaller messages bring verdicts back sooner and leave it one to go
+        on with while this process reads an answer."""
+        if self._at_worker:
+            self._collect(self._verifier.take_ready())
         start, per_message = self._handed, _REPLAY_AHEAD // 4
         stop = min(len(self._txs), start + _REPLAY_AHEAD - len(self._at_worker))
         for first in range(start, stop, per_message):

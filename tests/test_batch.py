@@ -3,9 +3,13 @@ batched serve loop, and the reply cache that makes retransmits idempotent."""
 
 import multiprocessing
 import os
+import signal
 import socket
+import subprocess
+import sys
 import tempfile
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,6 +22,8 @@ from thingchain.errors import BadSignature, SubmitError
 from thingchain.gateway import Gateway, GatewayConfig, wire
 from thingchain.gateway import service
 from thingchain.ledger import Verifier
+
+from test_replay_lanes import lane_counting_verify
 
 THINGS = ("t0", "t1", "t2", "t3")
 
@@ -119,6 +125,75 @@ def test_batch_never_fills_a_block_past_its_cap(alice):
             with pytest.raises(RuntimeError):
                 node.seal_block()
     assert len(node.blocks[-1].txs) == 3
+
+
+@pytest.mark.parametrize("slow", ["worker", "main"])
+def test_batch_past_the_look_ahead_verifies_each_signature_once(fed, alice, monkeypatch, slow):
+    """A batch of more signatures than the worker is kept ahead: each is
+    verified once, and while a slow worker lags this process verifies the
+    signatures not yet sent to it."""
+    node, feed = fed
+    count = 150
+    assert count > ledger._REPLAY_AHEAD
+    calls = lane_counting_verify(monkeypatch, slow)
+    with Verifier() as verifier:
+        with node.batch(verifier):
+            for value in range(count):
+                node.submit(push(alice, node, feed, value))
+    assert len(node.blocks[-1].txs) == count and node.pending_count == 0
+    assert calls["main"].value + calls["worker"].value == count
+    assert calls["worker"].value > 0
+    if slow == "worker":
+        assert calls["main"].value > 0
+    assert multiprocessing.active_children() == []
+
+
+def test_batch_of_one_and_empty_batch(fed, alice, monkeypatch):
+    node, feed = fed
+    calls = counting_verify(monkeypatch)
+    height = node.height
+    with Verifier() as verifier:
+        with node.batch(verifier):
+            pass
+        assert (node.height, node.pending_count) == (height, 0)
+        with node.batch(verifier):
+            node.submit(push(alice, node, feed, 7))
+        assert node.height == height + 1 and len(node.blocks[-1].txs) == 1
+        with pytest.raises(BadSignature, match="batched transaction 0 does not verify"):
+            with node.batch(verifier):
+                node.submit(push(ForgingSigner.from_seed("alice"), node, feed, 8))
+        assert (node.height, node.pending_count) == (height + 1, 0)
+        with node.batch(verifier):       # the verifier is still in step
+            node.submit(push(alice, node, feed, 9))
+    assert decode_values(node.static(feed, "last", []))[0] == 9
+    assert calls.value == 3
+
+
+def process_state(pid: int) -> str:
+    """The state letter in /proc/<pid>/stat, or "gone" once it is reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return "gone"
+
+
+def test_verifier_worker_exits_when_its_parent_is_killed():
+    src = os.path.dirname(os.path.dirname(ledger.__file__))
+    holder_code = ("import time\nfrom thingchain.ledger import Verifier\n"
+                   "verifier = Verifier()\nprint(verifier._worker.pid, flush=True)\n"
+                   "time.sleep(60)\n")
+    with subprocess.Popen([sys.executable, "-c", holder_code], stdout=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src}) as holder:
+        worker = int(holder.stdout.readline())
+        holder.kill()
+    deadline = time.monotonic() + 2
+    while process_state(worker) not in ("gone", "Z") and time.monotonic() < deadline:
+        time.sleep(0.01)
+    state = process_state(worker)
+    if state not in ("gone", "Z"):
+        os.kill(worker, signal.SIGKILL)
+    assert state in ("gone", "Z")
 
 
 def test_verifier_reports_a_dead_worker(monkeypatch, alice):

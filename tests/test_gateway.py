@@ -1,8 +1,11 @@
+import os
 import socket
+import tempfile
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thingchain import Node, Signer
 from thingchain.codec import decode_values, encode_values
@@ -270,6 +273,38 @@ def test_truncated_journal_keeps_the_records_before_the_cut(tmp_path):
         (tmp_path / "cut").write_bytes(data[:cut])
         whole = sum(end <= cut for end in ends)
         assert Journal(tmp_path / "cut").records() == appended[:whole], cut
+
+
+journal_values = st.lists(st.integers(-2**63, 2**63 - 1) | st.text(max_size=8)
+                          | st.binary(max_size=40), max_size=4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["thing", "cursor", "dead"]), journal_values),
+                min_size=1, max_size=4),
+       journal_values)
+def test_append_after_a_torn_tail_is_read_back(appended, later):
+    """Cut the journal at any byte, as a crash mid-append does: a restart
+    that appends reads back the intact records and then the new one."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "j")
+        journal = Journal(path)
+        ends = []
+        for kind, values in appended:
+            journal.append(kind, values, sync=False)
+            ends.append(os.path.getsize(path))
+        journal.close()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        for cut in range(len(data) + 1):
+            with open(path, "wb") as fh:
+                fh.write(data[:cut])
+            restarted = Journal(path)
+            restarted.append("cursor", later, sync=False)
+            restarted.close()
+            intact = [[kind, *values] for (kind, values), end in zip(appended, ends)
+                      if end <= cut]
+            assert Journal(path).records() == intact + [["cursor", *later]], cut
 
 
 # --- event watcher -----------------------------------------------------------
