@@ -7,11 +7,15 @@ recovered, held in memory only, and only ids and addresses are persisted.
 Registrations, the event cursor and dead-lettered deliveries live in a
 checksummed append-only journal, so a restarted gateway resumes without
 skipping on-chain events (receivers deduplicate by (height, tx_index)).
+
+`Gateway.step` is the protocol core: it decides batches and event polls and
+touches no socket and no clock.  `Gateway.serve` moves datagrams for it over UDP.
 """
 
 from __future__ import annotations
 
 import json
+import select
 import socket as socket_module
 import threading
 import time
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field
 
 from ..codec import decode_values, encode_values
 from ..contracts.actuation import DENIED, request_outcome
+from ..contracts.topic import SINK_URI
 from ..errors import BadSignature, DuplicateThing, NotListening, ThingChainError, WireError
 from ..keys import Signer
 from ..ledger import Verifier
@@ -35,7 +40,8 @@ MAX_DELIVERY_ATTEMPTS = 5
 TRAFFIC_LOG_SIZE = 4096       # most recent entries kept in Gateway.traffic and
                               # UdpTransport.uri_payloads
 DEAD_LETTER_LIMIT = 1024      # most recent undeliverable events kept in Gateway.dead_letters
-BATCH_LIMIT = 32              # most PUT/POST datagrams serve() answers as one batch
+BATCH_LIMIT = 32              # most PUT/POST datagrams step() answers as one batch
+POLL_INTERVAL = 0.05          # seconds between the event polls of serve()
 REPLY_CACHE_SIZE = 1024       # most recent ACKed writes whose replies answer retransmits
 
 
@@ -52,6 +58,9 @@ class GatewayConfig:
     def from_file(cls, path) -> "GatewayConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        for key in ("master_seed", "journal"):
+            if key not in raw:
+                raise ValueError(f"gateway config {path} has no {key!r}")
         return cls(
             master_seed=raw["master_seed"],
             journal_path=raw["journal"],
@@ -150,6 +159,7 @@ class Gateway:
         self.traffic: deque[tuple[str, str, bytes]] = deque(maxlen=TRAFFIC_LOG_SIZE)
         self._msg_counter = 0
         self._replies: OrderedDict[tuple[str, bytes], bytes] = OrderedDict()
+        self._next_poll = float("-inf")           # step() polls once `now` reaches it
         self._lock = threading.RLock()
         self._requesters: dict[str, Signer] = {}
         self._thing_signers: dict[str, Signer] = {}
@@ -213,11 +223,15 @@ class Gateway:
 
     def allow_requester(self, reg_or_thing_id, endpoint: str) -> None:
         """Owner-side helper: put a mapped requester on a thing's actor list."""
-        reg = self.things[reg_or_thing_id] if isinstance(reg_or_thing_id, str) else reg_or_thing_id
-        requester = self._requesters[endpoint]
-        signer = self._thing_signer(reg.thing_id)
-        receipt = self.node.call(signer, reg.actuation_addr, "allow_actor",
-                                 encode_values([requester.account]))
+        reg = (self.things.get(reg_or_thing_id) if isinstance(reg_or_thing_id, str)
+               else reg_or_thing_id)
+        if reg is None:
+            raise ThingChainError(f"unknown thing {reg_or_thing_id!r}")
+        requester = self._requesters.get(endpoint)
+        if requester is None:
+            raise ThingChainError(f"unknown requester endpoint {endpoint!r}")
+        receipt = self.node.call(self._thing_signer(reg.thing_id), reg.actuation_addr,
+                                 "allow_actor", encode_values([requester.account]))
         self.node.seal_block()
         if not receipt.ok:
             raise ThingChainError(f"allow_actor reverted: {receipt.reason}")
@@ -264,10 +278,16 @@ class Gateway:
             return wire.ack(msg.message_id,
                             self.node.static(reg.feed_addr, "stats", [lo, hi]))
         if msg.code == wire.PUT and action == "data":
-            return self._put_data(msg, reg)
-        if msg.code == wire.POST and action == "actuate":
-            return self._post_actuate(msg, reg, source)
-        raise WireError("BadPath", msg.message_id)
+            receipt = self._put_data(msg, reg)
+        elif msg.code == wire.POST and action == "actuate":
+            receipt = self._post_actuate(msg, reg, source)
+        else:
+            raise WireError("BadPath", msg.message_id)
+        if not receipt.ok:
+            return wire.error(msg.message_id, receipt.reason)
+        if msg.code == wire.POST and request_outcome(receipt.return_value) == DENIED:
+            return wire.error(msg.message_id, "NotAuthorized")
+        return wire.ack(msg.message_id, encode_values(["ok", receipt.return_value]))
 
     @staticmethod
     def _parse_window(query: str, msg_id: int) -> tuple[int, int]:
@@ -302,16 +322,14 @@ class Gateway:
             raise WireError("BadPayload", msg.message_id)
         return value, values[1], tick
 
-    def _put_data(self, msg: wire.GatewayMessage, reg: ThingRegistration) -> wire.GatewayMessage:
+    def _put_data(self, msg: wire.GatewayMessage, reg: ThingRegistration):
+        """Push the PUT's sample from the thing's account; returns the receipt."""
         value, unit, tick = self._decode_put_payload(msg)
-        receipt = self.node.call(self._thing_signer(reg.thing_id), reg.feed_addr, "push",
-                                 encode_values([value, unit, tick]))
-        if not receipt.ok:
-            return wire.error(msg.message_id, receipt.reason)
-        return wire.ack(msg.message_id, encode_values(["ok", receipt.return_value]))
+        return self.node.call(self._thing_signer(reg.thing_id), reg.feed_addr, "push",
+                              encode_values([value, unit, tick]))
 
-    def _post_actuate(self, msg: wire.GatewayMessage, reg: ThingRegistration,
-                      source: str) -> wire.GatewayMessage:
+    def _post_actuate(self, msg: wire.GatewayMessage, reg: ThingRegistration, source: str):
+        """Request the POST's action as the mapped requester; returns the receipt."""
         requester = self._requesters.get(source)
         if requester is None:
             raise WireError("UnknownRequester", msg.message_id)
@@ -321,30 +339,26 @@ class Gateway:
                 raise ValueError
         except Exception:
             raise WireError("BadPayload", msg.message_id) from None
-        receipt = self.node.call(requester, reg.actuation_addr, "request",
-                                 encode_values([action, args]))
-        if not receipt.ok:
-            return wire.error(msg.message_id, receipt.reason)
-        if request_outcome(receipt.return_value) == DENIED:
-            return wire.error(msg.message_id, "NotAuthorized")
-        return wire.ack(msg.message_id, encode_values(["ok", receipt.return_value]))
+        return self.node.call(requester, reg.actuation_addr, "request",
+                              encode_values([action, args]))
 
     def _answer_batch(self, requests: list[tuple[bytes, str]],
                       verifier: Verifier | None = None) -> list[bytes]:
         """Answer (datagram, source) requests: the one place where a reply is
         sealed, cached and logged, for served and lone datagrams alike.
 
-        With serve's ``verifier`` the requests run as one `Node.batch`, whose
-        worker checks their signatures, and seal as one block.  Without one
-        each request is verified in process, and one that submitted a
-        transaction, reverted or not, seals its own block.  A datagram
-        byte-identical to an ACKed PUT or POST from the same source (the
-        message id is part of the bytes) is a retransmit: it gets the same
-        reply and is not applied again.  The newest REPLY_CACHE_SIZE such
-        replies are kept, in memory only.  Traffic is logged once the
-        requests are sealed.  If a batched signature does not verify, nothing
-        of the batch is sealed, cached or logged, and each datagram is
-        answered on its own, so the bad one gets BadSignature.
+        With a ``verifier`` (`step` gives one) the requests run as one
+        `Node.batch`, whose worker checks their signatures, and seal as one
+        block.  Without one each request is verified in process, and one
+        that submitted a transaction, reverted or not, seals its own block.
+        A datagram byte-identical to an ACKed PUT or POST from the same
+        source (the message id is part of the bytes) is a retransmit: it
+        gets the same reply and is not applied again.  The newest
+        REPLY_CACHE_SIZE such replies are kept, in memory only.  The cache
+        is trimmed, and traffic logged, once the requests are sealed, so an
+        undone batch evicts no older reply.  If a batched signature does not
+        verify, nothing of the batch is sealed, cached or logged, and each
+        datagram is answered on its own, so the bad one gets BadSignature.
         """
         node = self.node
         with self._lock:
@@ -363,8 +377,6 @@ class Gateway:
                             if msg.msg_type == wire.MSG_ACK and wire.is_write(data):
                                 cached.append((source, data))
                                 self._replies[(source, data)] = reply
-                                if len(self._replies) > REPLY_CACHE_SIZE:
-                                    self._replies.popitem(last=False)
                         replies.append(reply)
             except BaseException as exc:
                 for key in cached:
@@ -372,6 +384,8 @@ class Gateway:
                 if verifier is None or not isinstance(exc, BadSignature):
                     raise
                 return [self.handle_datagram(data, source) for data, source in requests]
+            while len(self._replies) > REPLY_CACHE_SIZE:
+                self._replies.popitem(last=False)
             for (data, source), reply in zip(requests, replies):
                 self.traffic.append(("in", source, data))
                 self.traffic.append(("out", source, reply))
@@ -379,10 +393,6 @@ class Gateway:
 
     # ------------------------------------------------------------------
     # event watching
-
-    def _next_msg_id(self) -> int:
-        self._msg_counter = (self._msg_counter + 1) & 0xFFFF
-        return self._msg_counter
 
     def _dead_letter(self, entry: tuple) -> None:
         """Keep the newest DEAD_LETTER_LIMIT entries; the list is trimmed in
@@ -446,25 +456,23 @@ class Gateway:
                     if attempted:
                         self.cursor = (block.height, tx_index)
                         self.journal.append("cursor", [block.height, tx_index], sync=False)
-            if self.node.blocks:
-                tip = self.node.blocks[-1]
-                if self.cursor < (tip.height, len(tip.txs) - 1):
-                    self.cursor = (tip.height, len(tip.txs) - 1)
-                    self.journal.append("cursor", list(self.cursor), sync=False)
+            tip = self.node.blocks[-1]
+            if self.cursor < (tip.height, len(tip.txs) - 1):
+                self.cursor = (tip.height, len(tip.txs) - 1)
+                self.journal.append("cursor", list(self.cursor), sync=False)
         return delivered
 
     def _deliver_actuation(self, reg: ThingRegistration, event, intra: int) -> int:
         action, args, caller = decode_values(event.payload)
         payload = encode_values([event.height, event.tx_index, intra, action, args, caller])
-        datagram = wire.request(wire.POST, self._next_msg_id(),
+        self._msg_counter = (self._msg_counter + 1) & 0xFFFF
+        datagram = wire.request(wire.POST, self._msg_counter,
                                 f"/things/{reg.thing_id}/event", payload).encode()
         return self._deliver_with_retry((event.height, event.tx_index, "actuate", reg.thing_id),
                                         reg.endpoint, datagram, self.transport.deliver_datagram)
 
     def _deliver_notification(self, event, intra: int) -> int:
         """Returns deliveries (0/1), or -1 when the sink is on-chain only."""
-        from ..contracts.topic import SINK_URI
-
         sub_id, sink_kind, sink, path, body = decode_values(event.payload)
         if sink_kind != SINK_URI:
             return -1
@@ -485,73 +493,63 @@ class Gateway:
         host, port = self._sock.getsockname()
         return f"{host}:{port}"
 
-    def serve(self, stop_event: threading.Event, poll_interval: float = 0.05) -> None:
-        """Blocking UDP loop; also drives the event watcher.
+    def step(self, now: float, received: list[tuple[bytes, str]], verifier: Verifier | None,
+             poll_interval: float = POLL_INTERVAL) -> tuple[list[bytes], float]:
+        """The protocol core; it touches no socket and reads no clock.
 
-        Answers datagrams on the socket bound at construction, including any
-        that arrived before the loop started.  Writes are answered in
-        batches: a PUT or POST, with the PUTs and POSTs already waiting
-        behind it (at most BATCH_LIMIT, and no more than the block's
-        ``tx_cap`` leaves room for), runs as one `Node.batch`, whose
-        signatures a `Verifier` worker process checks while the batch
-        executes.  The batch seals one block, and only then are its replies
-        sent.  Any other datagram (a GET) ends the batch and is answered
-        after the seal, so it sees the batch's writes.  If a signature does
-        not verify, the batch is undone and its datagrams are answered one
-        at a time, verified in process.  The worker lives from entry to
-        return; if it dies, the open batch is undone and ChildProcessError
-        is raised.
-
-        Runs poll_events() each time ``poll_interval`` has passed since the
-        last poll, whether or not datagrams kept arriving.  Returns once
-        ``stop_event`` is set; the socket stays bound until close(), which
-        must not be called while the loop runs.  Raises ``NotListening``
-        when the gateway was built without a listen address or has been
-        closed.
+        Answers the (datagram, source) pairs ``received`` in arrival order:
+        each run of PUTs and POSTs, cut at BATCH_LIMIT and at the block's
+        room (`Node.batch_room`), as one batch through `_answer_batch`,
+        which seals it as one block; any other datagram (a GET) alone
+        through `handle_datagram`, after the writes ahead of it.  Then runs
+        `poll_events` if ``now`` has reached the poll time: on the first
+        step, then each ``poll_interval``.  Returns the replies, aligned
+        with ``received``, and the time by which to call `step` again.  If
+        a batch raises (the verifier's worker died), it is undone, and the
+        replies of the batches sealed before it in this step are lost with
+        the exception; a retransmit of one is answered from the reply cache.
         """
+        replies: list[bytes] = []
+        while len(replies) < len(received):
+            start = run = len(replies)
+            if wire.is_write(received[start][0]):
+                end = min(len(received), start + min(BATCH_LIMIT, self.node.batch_room()))
+                while run < end and wire.is_write(received[run][0]):
+                    run += 1
+                replies += self._answer_batch(received[start:run], verifier)
+            else:
+                replies.append(self.handle_datagram(*received[start]))
+        if now >= self._next_poll:
+            self.poll_events()
+            self._next_poll = now + poll_interval
+        return replies, self._next_poll
+
+    def serve(self, stop_event: threading.Event, poll_interval: float = POLL_INTERVAL) -> None:
+        """The UDP shell around `step`: waits on the socket bound at
+        construction until a datagram comes or `step`'s wake-up time, takes
+        up to BATCH_LIMIT waiting datagrams, gives them to `step` with the
+        time and a `Verifier`, whose worker lives from entry to return, and
+        sends the replies.  Returns once ``stop_event`` is set; the socket
+        stays bound until close(), which must not be called while the loop
+        runs.  Raises ``NotListening`` without a socket, and
+        ChildProcessError if the worker dies."""
         sock = self._sock
         if sock is None:
             raise NotListening("gateway is closed" if self.config.listen
                                else "gateway has no listen address")
-        sock.settimeout(poll_interval)
-        next_poll = time.monotonic() + poll_interval
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        wake_at = time.monotonic()
         with Verifier() as verifier:
             while not stop_event.is_set():
-                try:
-                    received = sock.recvfrom(65535)
-                except socket_module.timeout:
-                    pass
-                else:
-                    self._serve_waiting(sock, verifier, received)
-                now = time.monotonic()
-                if now >= next_poll:
-                    self.poll_events()
-                    next_poll = now + poll_interval
-
-    def _serve_waiting(self, sock, verifier: Verifier, received: tuple) -> None:
-        """Answer ``received`` and the writes already waiting behind it as one
-        batch, then the datagram that ended the batch, if it is not a write."""
-        room = min(BATCH_LIMIT, self.node.batch_room())
-        writes = []
-        timeout = sock.gettimeout()
-        sock.setblocking(False)
-        try:
-            while received is not None and wire.is_write(received[0]):
-                writes.append(received)
-                try:
-                    received = sock.recvfrom(65535) if len(writes) < room else None
-                except BlockingIOError:
-                    received = None
-        finally:
-            sock.settimeout(timeout)
-        if writes:
-            replies = self._answer_batch(
-                [(data, f"{addr[0]}:{addr[1]}") for data, addr in writes], verifier)
-            for (_, addr), reply in zip(writes, replies):
-                sock.sendto(reply, addr)
-        if received is not None:
-            data, addr = received
-            sock.sendto(self.handle_datagram(data, f"{addr[0]}:{addr[1]}"), addr)
+                poller.poll(max(wake_at - time.monotonic(), 0) * 1000)
+                received = []
+                while len(received) < BATCH_LIMIT and poller.poll(0):
+                    received.append(sock.recvfrom(65535))
+                requests = [(data, f"{host}:{port}") for data, (host, port) in received]
+                replies, wake_at = self.step(time.monotonic(), requests, verifier, poll_interval)
+                for reply, (_, addr) in zip(replies, received):
+                    sock.sendto(reply, addr)
 
     def close(self) -> None:
         """Release the socket, the journal and a transport that has a

@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 from .codec import decode_values, encode_values
 from .contracts.actuation import request_outcome
 from .contracts.topic import SINK_ADDRESS, SINK_URI
-from .errors import ParseError, ResolutionError, StepFailed
+from .errors import ParseError, ResolutionError, StepFailed, ThingChainError
 from .gateway.service import Gateway, GatewayConfig, RecordingTransport
 from .gateway import wire
 from .keys import Signer
 from .ledger import Node
 from .resolver import resolve
+from .runtime import Revert
 from .units import format_milli, parse_milli
 
 _LCG_MULT = 6364136223846793005
@@ -363,7 +364,7 @@ class ScenarioRunner:
             if exc.index < 0:
                 raise StepFailed(step.index, exc.reason) from None
             raise
-        except ResolutionError as exc:
+        except (ThingChainError, Revert) as exc:    # a failed call, read, registration or lookup
             raise StepFailed(step.index, f"{type(exc).__name__}: {exc}") from None
         except ValueError as exc:      # a malformed number, token or value in the step
             raise StepFailed(step.index, str(exc)) from None

@@ -439,3 +439,22 @@ def test_forged_signature_in_a_served_batch(writes, data):
             sock.close()
             served.close()
             alone.close()
+
+
+def test_undone_batch_keeps_the_reply_window(tmp_path, monkeypatch):
+    """A batch undone by a dead worker evicts no older reply from the cache,
+    so a retransmit of a write ACKed before it is still answered from it."""
+    monkeypatch.setattr(service, "REPLY_CACHE_SIZE", 2)
+    gateway = build_gateway(str(tmp_path))
+    try:
+        first = put("t0", 1, 1)
+        acked = [gateway.handle_datagram(data, "sim:t0") for data in (first, put("t0", 2, 2))]
+        dying_verify(monkeypatch)
+        with Verifier() as verifier:
+            with pytest.raises(ChildProcessError, match="exit code 3"):
+                gateway._answer_batch([(put("t0", 3, 3), "sim:t0")], verifier)
+        assert len(gateway._replies) == 2
+        assert gateway.handle_datagram(first, "sim:t0") == acked[0]
+        assert len(feed_samples(gateway, "t0")) == 2
+    finally:
+        gateway.close()

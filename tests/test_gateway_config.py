@@ -1,5 +1,9 @@
 import json
+import socket
 
+import pytest
+
+from thingchain import cli
 from thingchain.cli import build_gateway
 from thingchain.gateway import GatewayConfig, wire
 from thingchain.codec import encode_values
@@ -71,3 +75,17 @@ def test_close_releases_the_transport_socket(tmp_path):
     gateway.close()
     assert sock.fileno() == -1
     gateway.close()                     # a second close is harmless
+
+
+@pytest.mark.parametrize("missing", ["master_seed", "journal"])
+def test_config_without_a_required_key_is_reported(tmp_path, monkeypatch, capsys, missing):
+    path = write_config(tmp_path, listen="127.0.0.1:0")
+    raw = json.loads(path.read_text())
+    del raw[missing]
+    path.write_text(json.dumps(raw))
+    opened = []
+    monkeypatch.setattr(socket, "socket", lambda *args, **kwargs: opened.append(args))
+    assert cli.main(["gateway", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: ValueError: gateway config {path} has no {missing!r}\n"
+    assert opened == [] and not (tmp_path / "cfg.journal").exists()

@@ -278,3 +278,25 @@ def test_malformed_value_fails_its_step_and_keeps_the_report(tmp_path, capsys, b
     assert [s["verb"] for s in data["steps"][:4]] == ["account", "deploy", "push", "assert"]
     assert data["failure"].startswith(f"step 4: {failure}")
     assert data["final_digest"]
+
+
+ADDRESS = "ab" * 32
+
+
+@pytest.mark.parametrize("script, index, reason", [
+    ("account name=alice tokens=100\ndeploy as=f code=feed owner=alice\n"
+     "assert kind=last feed=@f value=1\n", 2, "Revert: EmptyFeed"),
+    ("register thing=t1\nallow-requester thing=t1 endpoint=nobody\n", 1,
+     "ThingChainError: unknown requester endpoint 'nobody'"),
+    ("register thing=t1\nregister thing=t1\n", 1, "DuplicateThing: t1"),
+    (f"account name=alice tokens=100\nassert kind=read target={ADDRESS} key=str:x value=int:1\n",
+     1, f"UnknownContract: {ADDRESS}"),
+], ids=["revert", "unknown-endpoint", "duplicate-thing", "unknown-contract"])
+def test_an_error_in_a_step_fails_that_step(tmp_path, capsys, script, index, reason):
+    path = tmp_path / "broken.scn"
+    path.write_text(script)
+    assert cli.main(["run", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and "Traceback" not in out
+    assert f"[failed] step {index} " in out
+    assert f"FAILED: step {index}: {reason}\n" in out
