@@ -56,6 +56,8 @@ class Node:
         self._init_from_config(config, registry)
 
     def _init_from_config(self, config: GenesisConfig, registry: Registry | None) -> None:
+        if config.tx_cap < 1:   # a block could then hold nothing, and a batch never start
+            raise ValueError(f"tx_cap must be at least 1, got {config.tx_cap}")
         self.config = config
         self.registry = registry if registry is not None else default_registry()
         self.world = WorldState()
@@ -338,16 +340,21 @@ class Node:
         """Rebuild a node by re-validating and re-executing a block list.
 
         Raises BrokenChain(height) on any link, hash, signature or
-        re-execution mismatch.  Every transaction is added to one `_Lanes`
-        at the start, so each signature is verified once, by one `Verifier`
-        worker process, kept ``_REPLAY_AHEAD`` signatures ahead, or by this
-        process whenever a block's verdicts are not back in time.  A block's
-        verdicts are read after its header checks and before its
-        transactions run.  No worker is started for a chain without
-        transactions; if the worker dies, ChildProcessError is raised.
+        re-execution mismatch and on a block with more transactions than the
+        genesis cap, and BrokenChain(0) on a genesis whose cap is below 1.
+        Every transaction is added to one `_Lanes` at the start, so each
+        signature is verified once, by one `Verifier` worker process, kept
+        ``_REPLAY_AHEAD`` signatures ahead, or by this process whenever a
+        block's verdicts are not back in time.  A block's verdicts are read
+        after its header and cap checks and before its transactions run.
+        No worker is started for a chain without transactions; if the worker
+        dies, ChildProcessError is raised.
         """
         node = cls.__new__(cls)
-        node._init_from_config(config, registry)
+        try:
+            node._init_from_config(config, registry)
+        except ValueError as exc:
+            raise BrokenChain(0, str(exc)) from exc
         if not blocks:
             raise BrokenChain(0, "chain has no genesis block")
         if blocks[0].encode() != node.blocks[0].encode():
@@ -373,6 +380,9 @@ class Node:
             raise BrokenChain(height, "stored block hash is wrong")
         if len(block.receipts) != len(block.txs):
             raise BrokenChain(height, "receipt count != tx count")
+        if len(block.txs) > self.config.tx_cap:
+            raise BrokenChain(height, f"{len(block.txs)} transactions, past the cap of "
+                                      f"{self.config.tx_cap}")
         verdicts = lanes.take(len(block.txs))
         for tx, stored, verified in zip(block.txs, block.receipts, verdicts):
             if not verified:

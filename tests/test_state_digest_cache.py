@@ -18,13 +18,13 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
-from thingchain import Node, Signer, replay
+from thingchain import Node, Signer, replay, runtime
 from thingchain.chain import dump_chain, make_transaction
 from thingchain.codec import enc_bytes, enc_str, enc_u8, enc_u32, enc_u64, encode_values
 from thingchain.errors import BadSignature, InsufficientTokens
 from thingchain.keys import digest
 from thingchain.ledger import Verifier
-from thingchain.state import ContractMeta, WorldState
+from thingchain.state import ContractMeta, LayeredMap, WorldState
 
 ADDRESSES = (b"\x01" * 32, b"\x02" * 32, b"\x03" * 32, b"\x04" * 32)
 ACCOUNTS = (b"\x0a" * 32, b"\x0b" * 32) + ADDRESSES[:1]   # one id is also a contract
@@ -249,3 +249,59 @@ def test_digest_after_each_seal_equals_replay_of_that_prefix(seed):
     assert any(node.contract_info(f).killed for f in feeds)
     for height, expected in recorded.items():
         assert replay(dump_chain(node.config, node.blocks[:height + 1])) == expected
+
+
+def test_a_warm_digest_encodes_only_the_contracts_sealed_since(monkeypatch):
+    """After the first digest, a digest encodes the sections of the k
+    contracts committed since the one before, and lists no map's keys."""
+    signer = Signer.from_seed(SEEDS[0])
+    node = Node({signer.account: 100})
+    node.create_account(SEEDS[0])
+    feeds = [node.deploy(signer, "feed")[1] for _ in range(6)]
+    node.seal_block()
+    node.state_digest()
+    encoded, listed = [], []
+    section, keys = WorldState._section, LayeredMap.keys
+    monkeypatch.setattr(WorldState, "_section",
+                        lambda world, addr: encoded.append(addr) or section(world, addr))
+    monkeypatch.setattr(LayeredMap, "keys",
+                        lambda m, *args, **kwargs: listed.append(m) or keys(m, *args, **kwargs))
+    for k in (0, 1, 4, 6):
+        for feed in feeds[:k]:
+            push(signer, node, feed, k, node.height + 1)
+        node.seal_block()
+        encoded.clear()
+        listed.clear()
+        warm = node.state_digest()
+        assert sorted(encoded) == sorted(feeds[:k]) and listed == []
+        assert node.world.committed_view().state_digest() == warm
+
+
+def test_a_contract_deployed_where_tokens_were_sent_hides_that_account_row():
+    """Tokens sent to the address a deploy will take make an account row;
+    the deploy turns that address into a contract, whose section replaces the
+    row, as it does in a digest from scratch."""
+    deployer, payer = Signer.from_seed(SEEDS[0]), Signer.from_seed(SEEDS[1])
+    node = Node({deployer.account: 50, payer.account: 40})
+    for seed in SEEDS[:2]:
+        node.create_account(seed)
+    recorded = {node.height: node.state_digest()}
+    target = runtime.contract_address(deployer.account, node.next_nonce(deployer.account) + 1)
+    node.transfer(deployer, target, 3)
+    node.transfer(payer, target, 7)
+    node.seal_block()
+    recorded[node.height] = node.state_digest()
+    assert node.balance(target) == 10
+    receipt, address = node.deploy(deployer, "feed", tokens=2)
+    assert receipt.ok and address == target
+    node.seal_block()
+    recorded[node.height] = node.state_digest()
+    assert push(deployer, node, target, 5, node.height + 1).ok
+    assert node.call(payer, target, "last", tokens=1).ok
+    node.seal_block()
+    recorded[node.height] = node.state_digest()
+    assert node.contract_info(target).balance == 3
+    for height, expected in recorded.items():
+        assert replay(dump_chain(node.config, node.blocks[:height + 1])) == expected
+    assert recorded[node.height].hex() == (   # as a digest re-encoding every account row gives
+        "64f94e1c32a318e29b768ff1ac54ab2cc1fb38698af6b0d237cadcd1142af4c5")
