@@ -189,7 +189,8 @@ def cmd_gateway(args) -> int:
     # interrupted mid-write by signal delivery timing
     for sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(sig, lambda *_: stop.set())
-    print(f"gateway listening on {gateway.address} (ctrl-c to stop)")
+    # flushed, so that a supervisor reading a pipe learns the bound port now
+    print(f"gateway listening on {gateway.address} (ctrl-c to stop)", flush=True)
     try:
         gateway.serve(stop)
     finally:

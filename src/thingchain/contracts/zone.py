@@ -73,9 +73,9 @@ class ZoneContract(Behavior):
     code_id = "zone"
     exports = ("set_mapping", "delegate", "unset")
 
-    def _label(self, args, index=0) -> str:
+    def _label(self, args) -> str:
         try:
-            return normalize_label(want_str(args, index, "label"))
+            return normalize_label(want_str(args, 0, "label"))
         except ValueError as exc:
             raise Revert("BadLabel", str(exc)) from exc
 

@@ -23,7 +23,7 @@ from collections import OrderedDict, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from ..codec import decode_values, encode_values
+from ..codec import I64_MAX, I64_MIN, decode_values, encode_values
 from ..contracts.actuation import DENIED, request_outcome
 from ..contracts.topic import SINK_URI
 from ..errors import BadSignature, DuplicateThing, NotListening, ThingChainError, WireError
@@ -197,10 +197,10 @@ class Gateway:
                 self._dead_letter(tuple(record[1:]))
 
     def register_thing(self, thing_id: str, endpoint: str = "", sink_uri: str = "",
-                       feed_addr: bytes | None = None,
-                       actuation_addr: bytes | None = None) -> ThingRegistration:
-        """Create the thing's account, deploy (or bind) its contracts and
-        persist the registration."""
+                       feed_addr: bytes | None = None) -> ThingRegistration:
+        """Create the thing's account, deploy its actuation contract and,
+        unless ``feed_addr`` binds an existing feed, its feed contract, seal
+        them in one block and journal the registration."""
         with self._lock:
             if thing_id in self.things:
                 raise DuplicateThing(thing_id)
@@ -209,10 +209,9 @@ class Gateway:
                 receipt, feed_addr = self.node.deploy(signer, "feed")
                 if not receipt.ok:
                     raise ThingChainError(f"feed deploy reverted: {receipt.reason}")
-            if actuation_addr is None:
-                receipt, actuation_addr = self.node.deploy(signer, "actuation")
-                if not receipt.ok:
-                    raise ThingChainError(f"actuation deploy reverted: {receipt.reason}")
+            receipt, actuation_addr = self.node.deploy(signer, "actuation")
+            if not receipt.ok:
+                raise ThingChainError(f"actuation deploy reverted: {receipt.reason}")
             self.node.seal_block()
             reg = ThingRegistration(thing_id, signer.account, feed_addr, actuation_addr,
                                     endpoint, sink_uri)
@@ -297,9 +296,12 @@ class Gateway:
             if eq:
                 params[key] = value
         try:
-            return int(params["from"]), int(params["to"])
+            lo, hi = int(params["from"]), int(params["to"])
         except (KeyError, ValueError):
             raise WireError("BadQuery", msg_id) from None
+        if not (I64_MIN <= lo <= I64_MAX and I64_MIN <= hi <= I64_MAX):
+            raise WireError("BadQuery", msg_id)
+        return lo, hi
 
     def _decode_put_payload(self, msg: wire.GatewayMessage) -> tuple[int, str, int]:
         """PUT payload: [value_milli:int | value:str, unit, (tick)]."""
@@ -315,7 +317,8 @@ class Gateway:
                 value = parse_milli(value)
             except ValueError:
                 raise WireError("BadPayload", msg.message_id) from None
-        if not isinstance(value, int) or isinstance(value, bool) or not isinstance(values[1], str):
+        if (not isinstance(value, int) or isinstance(value, bool)
+                or not I64_MIN <= value <= I64_MAX or not isinstance(values[1], str)):
             raise WireError("BadPayload", msg.message_id)
         tick = values[2] if len(values) == 3 else self.node.height + 1
         if not isinstance(tick, int) or isinstance(tick, bool) or tick < 0:

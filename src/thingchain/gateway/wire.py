@@ -41,14 +41,13 @@ class GatewayMessage:
     message_id: int
     path: str = ""
     payload: bytes = b""
-    version: int = VERSION
 
     def encode(self) -> bytes:
         path_bytes = self.path.encode("utf-8")
         if len(path_bytes) > 0xFFFF or len(self.payload) > 0xFFFF:
             raise WireError("FieldTooLong", self.message_id)
         data = (
-            _HEADER.pack(self.version, self.msg_type, self.code, self.message_id)
+            _HEADER.pack(VERSION, self.msg_type, self.code, self.message_id)
             + struct.pack(">H", len(path_bytes)) + path_bytes
             + struct.pack(">H", len(self.payload)) + self.payload
         )
@@ -103,7 +102,7 @@ def decode_message(datagram: bytes) -> GatewayMessage:
         raise WireError("BadPath", msg_id) from None
     if msg_type == MSG_REQUEST and code not in (GET, PUT, POST):
         raise WireError("BadCode", msg_id)
-    return GatewayMessage(msg_type, code, msg_id, path, fields[1], version)
+    return GatewayMessage(msg_type, code, msg_id, path, fields[1])
 
 
 def request(code: int, message_id: int, path: str, payload: bytes = b"") -> GatewayMessage:

@@ -55,7 +55,7 @@ class Node:
         config = GenesisConfig(tuple(sorted((bytes(a), int(n)) for a, n in alloc)), tx_cap)
         self._init_from_config(config, registry)
 
-    def _init_from_config(self, config: GenesisConfig, registry: Registry | None) -> None:
+    def _init_from_config(self, config: GenesisConfig, registry: Registry | None = None) -> None:
         if config.tx_cap < 1:   # a block could then hold nothing, and a batch never start
             raise ValueError(f"tx_cap must be at least 1, got {config.tx_cap}")
         self.config = config
@@ -148,7 +148,7 @@ class Node:
         self._validate(tx, signature_checked)
         height = len(self.blocks)
         receipt, writes = execute_transaction(
-            self.world, self.registry, tx, height, len(self._pending), tick=height,
+            self.world, self.registry, tx, height, len(self._pending),
         )
         self._pending.append((tx, receipt))
         self._pending_writes.extend(writes)
@@ -274,14 +274,14 @@ class Node:
 
     def total_supply(self) -> int:
         with self._lock:
-            return self.world.total_supply(committed_only=True)
+            return self.world.total_supply()
 
     def static(self, address: bytes, method: str, args: list, caller: bytes = b"\x00" * 32) -> bytes:
         """Read-only method execution against sealed state."""
         with self._lock:
             height = len(self.blocks)
             return static_call(
-                self.world, self.registry, address, method, args, height, height, caller,
+                self.world, self.registry, address, method, args, height, caller,
             )
 
     # ------------------------------------------------------------------
@@ -335,8 +335,7 @@ class Node:
         return data
 
     @classmethod
-    def from_chain(cls, config: GenesisConfig, blocks: list[Block],
-                   registry: Registry | None = None) -> "Node":
+    def from_chain(cls, config: GenesisConfig, blocks: list[Block]) -> "Node":
         """Rebuild a node by re-validating and re-executing a block list.
 
         Raises BrokenChain(height) on any link, hash, signature or
@@ -352,7 +351,7 @@ class Node:
         """
         node = cls.__new__(cls)
         try:
-            node._init_from_config(config, registry)
+            node._init_from_config(config)
         except ValueError as exc:
             raise BrokenChain(0, str(exc)) from exc
         if not blocks:

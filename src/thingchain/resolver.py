@@ -129,14 +129,13 @@ def resolve(node, name: Name | str, roots, max_depth: int = DEFAULT_MAX_DEPTH) -
     raise first_error
 
 
-def audit_trail(node, name: Name | str, roots,
-                max_depth: int = DEFAULT_MAX_DEPTH) -> list[AuditEntry]:
+def audit_trail(node, name: Name | str, roots) -> list[AuditEntry]:
     """Every logged change to the mappings along the name's current path.
 
     Entries are ordered by height, then by walk position; folding a label's
     `new` values forward reproduces its current record.
     """
-    result = resolve(node, name, roots, max_depth)
+    result = resolve(node, name, roots)
     entries = []
     for position, (zone, label) in enumerate(result.path):
         previous: NameRecord | None = None

@@ -3,7 +3,7 @@
 Contract "code" is a registry of native deterministic behaviors keyed by
 code id; the id is recorded in the deploy transaction and on the instance, so
 anyone can see which behavior an address runs.  Behaviors are pure functions
-of (state, call, height, tick): no clock, no randomness, no I/O.
+of (state, call, height): no clock, no randomness, no I/O.
 """
 
 from __future__ import annotations
@@ -159,16 +159,8 @@ class CallContext:
         return self._executor.height
 
     @property
-    def tick(self) -> int:
-        return self._executor.tick
-
-    @property
     def owner(self) -> bytes:
         return self._executor.world.contract(self.address).owner
-
-    @property
-    def balance(self) -> int:
-        return self._executor.world.contract(self.address).balance
 
     def require_owner(self) -> None:
         if self.caller != self.owner:
@@ -231,19 +223,16 @@ class CallContext:
         self._write_guard()
         self._executor.record_event(self.address, name, payload)
 
-    def call(self, address: bytes, method: str, args: list, tokens: int = 0) -> bytes:
-        """Synchronous call into another contract; reverts propagate."""
+    def call(self, address: bytes, method: str, args: list) -> bytes:
+        """Synchronous call into another contract; reverts propagate.  It
+        carries no tokens: they leave a contract only by transfer_out or
+        kill."""
         self._write_guard()
         if self.depth + 1 > MAX_CALL_DEPTH:
             raise Revert(REENTRANCY_LIMIT, f"call depth over {MAX_CALL_DEPTH}")
-        if tokens:
-            meta = self._executor.world.contract(self.address)
-            if meta.balance < tokens:
-                raise Revert(INSUFFICIENT_TOKENS, "contract balance too low")
-            self._executor.world.update_contract(self.address, balance=meta.balance - tokens)
         return self._executor.run_call(
             address, caller=self.address, method=method,
-            args=encode_values(args), tokens=tokens, depth=self.depth + 1,
+            args=encode_values(args), tokens=0, depth=self.depth + 1,
         )
 
     def _write_guard(self) -> None:
@@ -254,11 +243,10 @@ class CallContext:
 class Executor:
     """Executes one transaction (or one read-only call) against world state."""
 
-    def __init__(self, world: WorldState, registry: Registry, height: int, tick: int):
+    def __init__(self, world: WorldState, registry: Registry, height: int):
         self.world = world
         self.registry = registry
         self.height = height
-        self.tick = tick
         self.events: list[tuple[bytes, str, bytes]] = []
         self.writes: list[tuple[bytes, bytes, bytes | None]] = []
         self.static = False
@@ -326,7 +314,7 @@ class Executor:
 
 
 def execute_transaction(world: WorldState, registry: Registry, tx: Transaction,
-                        height: int, tx_index: int, tick: int) -> tuple[Receipt, list]:
+                        height: int, tx_index: int) -> tuple[Receipt, list]:
     """Run a validated transaction; returns (receipt, committed storage writes).
 
     The nonce bump happens before the call and survives a revert, so every
@@ -335,7 +323,7 @@ def execute_transaction(world: WorldState, registry: Registry, tx: Transaction,
     sender = tx.sender
     world.push_layer()
     world.nonces.set(sender, world.nonce(sender) + 1)
-    executor = Executor(world, registry, height, tick)
+    executor = Executor(world, registry, height)
     try:
         if tx.target is None:
             if tx.tokens:
@@ -369,7 +357,7 @@ def execute_transaction(world: WorldState, registry: Registry, tx: Transaction,
 
 
 def static_call(world: WorldState, registry: Registry, address: bytes, method: str,
-                args: list, height: int, tick: int, caller: bytes = b"\x00" * 32) -> bytes:
+                args: list, height: int, caller: bytes = b"\x00" * 32) -> bytes:
     """Execute a method read-only against committed ("sealed") state.
 
     This is the offline-execution path: any write, event, token move or kill
@@ -379,6 +367,6 @@ def static_call(world: WorldState, registry: Registry, address: bytes, method: s
     meta = view.contract(address)
     if meta is None:
         raise UnknownContract(address.hex())
-    executor = Executor(view, registry, height, tick)
+    executor = Executor(view, registry, height)
     executor.static = True
     return executor.run_call(address, caller, method, encode_values(args), tokens=0)

@@ -230,12 +230,12 @@ class ScenarioReport:
 
 
 class ScenarioRunner:
-    def __init__(self, seed: int, workdir: str | None = None, node: Node | None = None):
+    def __init__(self, seed: int, workdir: str | None = None):
         self.seed = seed
         # a directory the runner creates is removed at the end of run()
         self._tempdir = None if workdir else tempfile.TemporaryDirectory(prefix="thingchain-")
         self.workdir = workdir or self._tempdir.name
-        self.node = node
+        self.node: Node | None = None
         self.accounts: dict[str, Signer] = {}
         self.symbols: dict[str, object] = {}
         self.things: dict[str, SimThing] = {}
@@ -780,12 +780,11 @@ class ScenarioRunner:
         raise StepFailed(step.index, f"unknown assert kind {kind!r}")
 
 
-def run_scenario(script_path, seed: int = 1, export_path=None,
-                 workdir: str | None = None) -> ScenarioReport:
+def run_scenario(script_path, seed: int = 1, export_path=None) -> ScenarioReport:
     """Execute a scenario file; ParseError raises, step failures are reported."""
     with open(script_path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return run_scenario_text(text, seed=seed, export_path=export_path, workdir=workdir)
+    return run_scenario_text(text, seed=seed, export_path=export_path)
 
 
 def run_scenario_text(text: str, seed: int = 1, export_path=None,

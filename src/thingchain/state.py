@@ -77,13 +77,9 @@ class LayeredMap:
     def delete(self, key) -> None:
         self.set(key, _TOMBSTONE)
 
-    def keys(self, committed_only: bool = False):
-        """All live keys, merged across layers, in sorted order."""
-        merged = dict(self.base)
-        if not committed_only:
-            for layer in self.layers:
-                merged.update(layer)
-        return sorted(k for k, v in merged.items() if v is not _TOMBSTONE)
+    def keys(self):
+        """All committed live keys, in sorted order."""
+        return sorted(k for k, v in self.base.items() if v is not _TOMBSTONE)
 
     def _committed(self, key):
         return self.base.get(key, _TOMBSTONE)
@@ -241,9 +237,9 @@ class WorldState:
 
     def _encode_all(self) -> tuple[_Parts, _Parts]:
         """Every account row and every contract section."""
-        order = self.contracts.keys(committed_only=True)
-        account_ids = set(self.balances.keys(committed_only=True))
-        account_ids.update(self.nonces.keys(committed_only=True))
+        order = self.contracts.keys()
+        account_ids = set(self.balances.keys())
+        account_ids.update(self.nonces.keys())
         account_ids.difference_update(order)
         rows = ((acct, self._row(acct)) for acct in sorted(account_ids))
         return (_Parts((acct, row) for acct, row in rows if row is not None),
@@ -284,14 +280,11 @@ class WorldState:
             parts += (_U32(len(key)), key, _U32(len(value)), value)
         return b"".join(parts)
 
-    def total_supply(self, committed_only: bool = False) -> int:
-        """Sum of all account and contract balances (conservation check)."""
-        total = sum(
-            self.balances.get(k, 0, committed_only)
-            for k in self.balances.keys(committed_only)
-        )
-        for addr in self.contracts.keys(committed_only):
-            total += self.contract(addr, committed_only).balance
+    def total_supply(self) -> int:
+        """Sum of committed account and contract balances (conservation check)."""
+        total = sum(self.balance(k, committed_only=True) for k in self.balances.keys())
+        for addr in self.contracts.keys():
+            total += self.contract(addr, committed_only=True).balance
         return total
 
 
