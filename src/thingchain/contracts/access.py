@@ -10,7 +10,7 @@ State layout:
 from __future__ import annotations
 
 from ..codec import decode_values, encode_values
-from ..runtime import Behavior, want_account, want_bytes, want_int, want_str
+from ..runtime import Behavior, Export, account, bytes_, i64, only_owner, str_
 
 TOKEN_PREFIX = b"token/"
 CHECK_SEQ_KEY = b"checkseq"
@@ -19,26 +19,20 @@ CHECK_PREFIX = b"check/"
 
 class AccessContract(Behavior):
     code_id = "access"
-    exports = ("issue", "check", "revoke")
+    exports = {
+        "issue": Export(bytes_, account, str_, i64, guard=only_owner),
+        "check": Export(bytes_, account, str_),
+        "revoke": Export(bytes_, guard=only_owner),
+    }
 
-    def issue(self, ctx, args):
-        """(token_id, holder, scope, expiry_height); owner-only."""
-        ctx.require_owner()
-        token_id = want_bytes(args, 0, "token id")
-        holder = want_account(args, 1, "holder")
-        scope = want_str(args, 2, "scope")
-        expiry = want_int(args, 3, "expiry height")
+    def issue(self, ctx, token_id, holder, scope, expiry):
         ctx.set(TOKEN_PREFIX + token_id, encode_values([holder, scope, expiry]))
 
-    def revoke(self, ctx, args):
-        ctx.require_owner()
-        ctx.remove(TOKEN_PREFIX + want_bytes(args, 0, "token id"), "UnknownToken")
+    def revoke(self, ctx, token_id):
+        ctx.remove(TOKEN_PREFIX + token_id, "UnknownToken")
 
-    def check(self, ctx, args):
-        """(token_id, holder, scope) -> b"\\x01"/b"\\x00"; the check is logged."""
-        token_id = want_bytes(args, 0, "token id")
-        holder = want_account(args, 1, "holder")
-        scope = want_str(args, 2, "scope")
+    def check(self, ctx, token_id, holder, scope):
+        """-> b"\\x01"/b"\\x00"; the check is logged."""
         raw = ctx.get(TOKEN_PREFIX + token_id)
         valid = False
         if raw is not None:

@@ -13,7 +13,7 @@ State layout:
 from __future__ import annotations
 
 from ..codec import encode_values
-from ..runtime import Behavior, Members, want_bytes, want_str
+from ..runtime import Behavior, Export, Members, account, bytes_, only_owner, str_
 
 ACTOR_PREFIX = b"actor/"
 LOG_SEQ_KEY = b"logseq"
@@ -32,16 +32,17 @@ def request_outcome(return_value: bytes) -> str:
 
 class ActuationContract(Behavior):
     code_id = "actuation"
-    exports = ("request", "allow_actor", "revoke_actor")
-
     actors = Members(ACTOR_PREFIX, "UnknownActor")
+    exports = {
+        "request": Export(str_, bytes_),
+        "allow_actor": Export(account, guard=only_owner),
+        "revoke_actor": Export(account, guard=only_owner),
+    }
     allow_actor = actors.allow
     revoke_actor = actors.revoke
 
-    def request(self, ctx, args):
-        """(action, args): emit Actuate when authorized, log either way."""
-        action = want_str(args, 0, "action")
-        payload = want_bytes(args, 1, "action args")
+    def request(self, ctx, action, payload):
+        """Emit Actuate when authorized, log either way."""
         allowed = self.actors.contains(ctx, ctx.caller)
         ctx.append(LOG_SEQ_KEY, LOG_PREFIX, encode_values(
             [ctx.height, ctx.caller, action, GRANTED if allowed else DENIED]))

@@ -9,7 +9,7 @@ the stub's surface.
 
 from __future__ import annotations
 
-from ..runtime import Behavior, want_str
+from ..runtime import Behavior, Export, only_owner, str_
 
 DESCRIPTION_KEY = b"descr"
 COAP_URI_KEY = b"coap_uri"
@@ -17,26 +17,27 @@ COAP_URI_KEY = b"coap_uri"
 
 class DeviceStub(Behavior):
     code_id = "device_stub"
-    exports = ("describe", "ping")
+    exports = {"describe": Export(), "ping": Export()}
+    init_types = (str_,)
 
-    def init(self, ctx, args):
-        if args:
-            ctx.set(DESCRIPTION_KEY, want_str(args, 0, "description").encode())
+    def init(self, ctx, description=None):
+        if description is not None:
+            ctx.set(DESCRIPTION_KEY, description.encode())
 
-    def describe(self, ctx, args):
+    def describe(self, ctx):
         return ctx.get(DESCRIPTION_KEY) or b""
 
-    def ping(self, ctx, args):
+    def ping(self, ctx):
         return b"pong"
 
 
 class DeviceExtended(DeviceStub):
     code_id = "device_extended"
-    exports = DeviceStub.exports + ("set_coap_uri", "coap_uri")
+    exports = {**DeviceStub.exports, "set_coap_uri": Export(str_, guard=only_owner),
+               "coap_uri": Export()}
 
-    def set_coap_uri(self, ctx, args):
-        ctx.require_owner()
-        ctx.set(COAP_URI_KEY, want_str(args, 0, "uri").encode())
+    def set_coap_uri(self, ctx, uri):
+        ctx.set(COAP_URI_KEY, uri.encode())
 
-    def coap_uri(self, ctx, args):
+    def coap_uri(self, ctx):
         return ctx.require(COAP_URI_KEY, "UnknownAttribute", "coap_uri")

@@ -13,7 +13,7 @@ State layout:
 from __future__ import annotations
 
 from ..codec import decode_values, enc_u64, encode_values
-from ..runtime import Behavior, Revert, want_account, want_int
+from ..runtime import Behavior, Export, Revert, account, u64
 
 DEAL_SEQ_KEY = b"dealseq"
 DEAL_PREFIX = b"deal/"
@@ -30,24 +30,19 @@ def decode_deal(raw: bytes) -> tuple[bytes, bytes, int, int, str]:
 
 class EscrowContract(Behavior):
     code_id = "escrow"
-    exports = ("commit", "confirm", "refund")
+    exports = {"commit": Export(account, u64), "confirm": Export(u64), "refund": Export(u64)}
 
     def _deal(self, ctx, deal_id: int):
         return decode_deal(ctx.require(DEAL_PREFIX + enc_u64(deal_id), "UnknownDeal",
                                        str(deal_id)))
 
-    def commit(self, ctx, args):
-        """(provider, deadline_height), escrowing the attached tokens."""
-        provider = want_account(args, 0, "provider")
-        deadline = want_int(args, 1, "deadline height")
-        if deadline < 0:
-            raise Revert("BadArgs", "deadline must be nonnegative")
+    def commit(self, ctx, provider, deadline):
+        """Escrow the attached tokens until the deadline height."""
         return enc_u64(ctx.append(DEAL_SEQ_KEY, DEAL_PREFIX, encode_values(
             [ctx.caller, provider, ctx.tokens, deadline, COMMITTED])))
 
-    def confirm(self, ctx, args):
+    def confirm(self, ctx, deal_id):
         """Customer releases the funds to the provider."""
-        deal_id = want_int(args, 0, "deal id")
         customer, provider, amount, deadline, state = self._deal(ctx, deal_id)
         if ctx.caller != customer:
             raise Revert("NotCustomer")
@@ -57,9 +52,8 @@ class EscrowContract(Behavior):
                 encode_values([customer, provider, amount, deadline, RELEASED]))
         ctx.transfer_out(provider, amount)
 
-    def refund(self, ctx, args):
+    def refund(self, ctx, deal_id):
         """Customer reclaims the funds once the deadline has passed."""
-        deal_id = want_int(args, 0, "deal id")
         customer, provider, amount, deadline, state = self._deal(ctx, deal_id)
         if ctx.caller != customer:
             raise Revert("NotCustomer")

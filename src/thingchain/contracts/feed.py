@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from ..codec import decode_values, enc_u64, encode_values
-from ..runtime import Behavior, Members, NOT_AUTHORIZED, Revert, want_int, want_str
+from ..runtime import Behavior, Export, Members, Revert, account, i64, only_owner, str_, u64
 from ..units import div_half_up
 
 WRITER_PREFIX = b"writer/"
@@ -34,21 +34,19 @@ def decode_measurement(data: bytes) -> tuple[int, str, int]:
 
 class FeedContract(Behavior):
     code_id = "feed"
-    exports = ("push", "last", "stats", "allow_writer", "revoke_writer")
-
     writers = Members(WRITER_PREFIX, "UnknownWriter")
+    exports = {
+        "push": Export(i64, str_, u64, guard=writers),
+        "last": Export(),
+        "stats": Export(i64, i64),
+        "allow_writer": Export(account, guard=only_owner),
+        "revoke_writer": Export(account, guard=only_owner),
+    }
     allow_writer = writers.allow
     revoke_writer = writers.revoke
 
-    def push(self, ctx, args):
-        """Append one measurement: (value_milli, unit, tick)."""
-        if not self.writers.contains(ctx, ctx.caller):
-            raise Revert(NOT_AUTHORIZED, "caller is not in the writer set")
-        value = want_int(args, 0, "value (milli)")
-        unit = want_str(args, 1, "unit")
-        tick = want_int(args, 2, "tick")
-        if tick < 0:
-            raise Revert("BadArgs", "tick must be nonnegative")
+    def push(self, ctx, value, unit, tick):
+        """Append one measurement, value at the 10^-3 scale."""
         raw_last = ctx.get(LAST_KEY)
         if raw_last is not None and tick < decode_measurement(raw_last)[2]:
             raise Revert("TickRegression", "ticks must be nondecreasing")
@@ -56,19 +54,17 @@ class FeedContract(Behavior):
         ctx.set(LAST_KEY, sample)
         return enc_u64(ctx.append(COUNT_KEY, MEASUREMENT_PREFIX, sample))
 
-    def last(self, ctx, args):
+    def last(self, ctx):
         return ctx.require(LAST_KEY, "EmptyFeed")
 
-    def stats(self, ctx, args):
-        """Aggregate over ticks in [from, to]: returns [min, max, avg, count].
+    def stats(self, ctx, lo, hi):
+        """Aggregate over ticks in [lo, hi]: returns [min, max, avg, count].
 
         Ticks never decrease (push reverts with TickRegression), so two
         bisections find the window's first and last sample and only the
         window is read: O(log n + window) samples of n.  The average is
         rounded half-up at the 10^-3 scale.
         """
-        lo = want_int(args, 0, "window start tick")
-        hi = want_int(args, 1, "window end tick")
 
         def sample(index: int) -> tuple[int, str, int]:
             return decode_measurement(ctx.get(MEASUREMENT_PREFIX + enc_u64(index)))

@@ -7,7 +7,7 @@ State layout:
 
 from __future__ import annotations
 
-from ..runtime import Behavior, Revert, want_bytes, want_str
+from ..runtime import Behavior, Export, Revert, bytes_, only_owner, str_
 
 SUBJECT_KEY = b"subject_key"
 ATTR_PREFIX = b"attr/"
@@ -15,26 +15,24 @@ ATTR_PREFIX = b"attr/"
 
 class IdentityContract(Behavior):
     code_id = "identity"
-    exports = ("set_attribute", "revoke", "get_attribute")
+    exports = {
+        "set_attribute": Export(str_, bytes_, guard=only_owner),
+        "revoke": Export(str_, guard=only_owner),
+        "get_attribute": Export(str_),
+    }
+    init_types = (bytes_,)
 
-    def init(self, ctx, args):
-        # optional arg 0: the subject verification key (defaults to none)
-        if args:
-            ctx.set(SUBJECT_KEY, want_bytes(args, 0, "subject key"))
+    def init(self, ctx, subject_key=None):
+        if subject_key is not None:
+            ctx.set(SUBJECT_KEY, subject_key)
 
-    def set_attribute(self, ctx, args):
-        ctx.require_owner()
-        kind = want_str(args, 0, "attribute kind")
-        value = want_bytes(args, 1, "attribute value")
+    def set_attribute(self, ctx, kind, value):
         if not kind:
             raise Revert("BadArgs", "empty attribute kind")
         ctx.set(ATTR_PREFIX + kind.encode(), value)
 
-    def revoke(self, ctx, args):
-        ctx.require_owner()
-        kind = want_str(args, 0, "attribute kind")
+    def revoke(self, ctx, kind):
         ctx.remove(ATTR_PREFIX + kind.encode(), "UnknownAttribute", kind)
 
-    def get_attribute(self, ctx, args):
-        kind = want_str(args, 0, "attribute kind")
+    def get_attribute(self, ctx, kind):
         return ctx.require(ATTR_PREFIX + kind.encode(), "UnknownAttribute", kind)

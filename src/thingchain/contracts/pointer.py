@@ -12,23 +12,20 @@ from __future__ import annotations
 
 from ..codec import decode_values, encode_values
 from ..keys import DIGEST_SIZE, digest
-from ..runtime import Behavior, Revert, want_bytes, want_str
+from ..runtime import Behavior, Export, Revert, bytes_, only_owner, str_
 
 ITEM_PREFIX = b"item/"
 
 
 class PointerContract(Behavior):
     code_id = "pointer"
-    exports = ("announce", "verify", "describe")
+    exports = {
+        "announce": Export(bytes_, str_, bytes_, bytes_, bytes_, guard=only_owner),
+        "verify": Export(bytes_, bytes_),
+        "describe": Export(bytes_),
+    }
 
-    def announce(self, ctx, args):
-        """(item_id, uri, content_hash, producer_sig, description)."""
-        ctx.require_owner()
-        item_id = want_bytes(args, 0, "item id")
-        uri = want_str(args, 1, "uri")
-        content_hash = want_bytes(args, 2, "content hash")
-        producer_sig = want_bytes(args, 3, "producer signature")
-        description = want_bytes(args, 4, "description")
+    def announce(self, ctx, item_id, uri, content_hash, producer_sig, description):
         if len(content_hash) != DIGEST_SIZE:
             raise Revert("BadArgs", f"content hash must be {DIGEST_SIZE} bytes")
         key = ITEM_PREFIX + item_id
@@ -37,12 +34,10 @@ class PointerContract(Behavior):
             raise Revert("AlreadyAnnounced", "content hash is fixed per item")
         ctx.set(key, encode_values([uri, content_hash, producer_sig, description]))
 
-    def verify(self, ctx, args):
-        """(item_id, data) -> b"\\x01" iff digest(data) matches the record."""
-        item_id = want_bytes(args, 0, "item id")
-        data = want_bytes(args, 1, "data")
+    def verify(self, ctx, item_id, data):
+        """-> b"\\x01" iff digest(data) matches the record."""
         stored = decode_values(ctx.require(ITEM_PREFIX + item_id, "UnknownItem"))[1]
         return b"\x01" if digest(data) == stored else b"\x00"
 
-    def describe(self, ctx, args):
-        return ctx.require(ITEM_PREFIX + want_bytes(args, 0, "item id"), "UnknownItem")
+    def describe(self, ctx, item_id):
+        return ctx.require(ITEM_PREFIX + item_id, "UnknownItem")

@@ -11,29 +11,26 @@ State layout:
 
 from __future__ import annotations
 
-from ..runtime import Behavior, Revert, want_account, want_str
+from ..runtime import Behavior, Export, Revert, account, only_owner, str_
 
 IMPL_PREFIX = b"impl/"
 
 
 class SkeletonContract(Behavior):
     code_id = "skeleton"
-    exports = ("lookup", "update", "remove")
+    exports = {
+        "lookup": Export(str_),
+        "update": Export(str_, account, guard=only_owner),
+        "remove": Export(str_, guard=only_owner),
+    }
 
-    def lookup(self, ctx, args):
-        method = want_str(args, 0, "method name")
+    def lookup(self, ctx, method):
         return ctx.require(IMPL_PREFIX + method.encode(), "MethodNotFound", method)
 
-    def update(self, ctx, args):
-        """(method, implementation address); owner-only."""
-        ctx.require_owner()
-        method = want_str(args, 0, "method name")
-        addr = want_account(args, 1, "implementation address")
+    def update(self, ctx, method, addr):
         if not method:
             raise Revert("BadArgs", "empty method name")
         ctx.set(IMPL_PREFIX + method.encode(), addr)
 
-    def remove(self, ctx, args):
-        ctx.require_owner()
-        method = want_str(args, 0, "method name")
+    def remove(self, ctx, method):
         ctx.remove(IMPL_PREFIX + method.encode(), "MethodNotFound", method)

@@ -14,7 +14,8 @@ State layout:
 from __future__ import annotations
 
 from ..codec import decode_values, enc_u64, encode_values
-from ..runtime import Behavior, Members, NOT_AUTHORIZED, Revert, want_bytes, want_int, want_str
+from ..runtime import (Behavior, Export, Members, NOT_AUTHORIZED, Revert, account, bytes_, i64,
+                       only_owner, str_, u64)
 
 PUBLISHER_PREFIX = b"pub/"
 SUB_SEQ_KEY = b"subseq"
@@ -69,19 +70,19 @@ def topic_matches(pattern: str, path: str) -> bool:
 
 class TopicContract(Behavior):
     code_id = "topic"
-    exports = (
-        "subscribe", "unsubscribe", "publish", "allow_publisher", "revoke_publisher",
-    )
-
     publishers = Members(PUBLISHER_PREFIX, "UnknownPublisher")
+    exports = {
+        "subscribe": Export(str_, i64, bytes_),
+        "unsubscribe": Export(u64),
+        "publish": Export(str_, bytes_, guard=publishers),
+        "allow_publisher": Export(account, guard=only_owner),
+        "revoke_publisher": Export(account, guard=only_owner),
+    }
     allow_publisher = publishers.allow
     revoke_publisher = publishers.revoke
 
-    def subscribe(self, ctx, args):
-        """(pattern, sink_kind, sink_bytes) -> subscription id (u64 bytes)."""
-        pattern = want_str(args, 0, "pattern")
-        sink_kind = want_int(args, 1, "sink kind")
-        sink = want_bytes(args, 2, "sink")
+    def subscribe(self, ctx, pattern, sink_kind, sink):
+        """-> subscription id (u64 bytes)."""
         try:
             validate_pattern(pattern)
         except ValueError as exc:
@@ -91,19 +92,14 @@ class TopicContract(Behavior):
         return enc_u64(ctx.append(SUB_SEQ_KEY, SUB_PREFIX,
                                   encode_values([pattern, sink_kind, sink, ctx.caller])))
 
-    def unsubscribe(self, ctx, args):
-        sub_id = want_int(args, 0, "subscription id")
+    def unsubscribe(self, ctx, sub_id):
         key = SUB_PREFIX + enc_u64(sub_id)
         if decode_values(ctx.require(key, "UnknownSub"))[3] != ctx.caller:
             raise Revert(NOT_AUTHORIZED, "only the subscriber can unsubscribe")
         ctx.delete(key)
 
-    def publish(self, ctx, args):
-        """(topic_path, payload): Notify every matching subscription."""
-        if not self.publishers.contains(ctx, ctx.caller):
-            raise Revert(NOT_AUTHORIZED, "caller is not in the publisher set")
-        path = want_str(args, 0, "topic path")
-        payload = want_bytes(args, 1, "payload")
+    def publish(self, ctx, path, payload):
+        """Notify every subscription whose pattern matches path."""
         try:
             validate_topic_path(path)
         except ValueError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..codec import Reader, enc_bytes, enc_str, enc_u8
 from ..keys import DIGEST_SIZE
-from ..runtime import Behavior, Revert, want_account, want_bytes, want_str
+from ..runtime import Behavior, Export, Revert, account, bytes_, only_owner, str_
 
 NAME_PREFIX = b"name/"
 LABEL_MAX = 63
@@ -30,6 +30,14 @@ def normalize_label(label: str) -> str:
     if not set(folded) <= _LABEL_CHARS:
         raise ValueError(f"label has characters outside [a-z0-9-_]: {label!r}")
     return folded
+
+
+def label(value):
+    """Declared argument type: a label, normalized; reverts BadLabel."""
+    try:
+        return normalize_label(str_(value))
+    except ValueError as exc:
+        raise Revert("BadLabel", str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -71,41 +79,30 @@ class NameRecord:
 
 class ZoneContract(Behavior):
     code_id = "zone"
-    exports = ("set_mapping", "delegate", "unset")
+    exports = {
+        "set_mapping": Export(label, bytes_, str_, bytes_, guard=only_owner),
+        "delegate": Export(label, account, guard=only_owner),
+        "unset": Export(label, guard=only_owner),
+    }
 
-    def _label(self, args) -> str:
-        try:
-            return normalize_label(want_str(args, 0, "label"))
-        except ValueError as exc:
-            raise Revert("BadLabel", str(exc)) from exc
-
-    def _current(self, ctx, label: str) -> NameRecord:
-        raw = ctx.get(NAME_PREFIX + label.encode())
+    def _current(self, ctx, name: str) -> NameRecord:
+        raw = ctx.get(NAME_PREFIX + name.encode())
         return NameRecord.decode(raw) if raw is not None else NameRecord()
 
-    def set_mapping(self, ctx, args):
-        """Replace the leaf fields for a label: (label, service_key, uri, text).
+    def set_mapping(self, ctx, name, service_key, uri, text):
+        """Replace the leaf fields for a label.
 
         Empty byte strings / strings clear a field; any delegation is kept.
         """
-        ctx.require_owner()
-        label = self._label(args)
-        service_key = want_bytes(args, 1, "service key") or None
-        uri = want_str(args, 2, "uri") or None
-        text = want_bytes(args, 3, "text") or None
-        record = NameRecord(self._current(ctx, label).delegation, service_key, uri, text)
-        ctx.set(NAME_PREFIX + label.encode(), record.encode())
+        record = NameRecord(self._current(ctx, name).delegation,
+                            service_key or None, uri or None, text or None)
+        ctx.set(NAME_PREFIX + name.encode(), record.encode())
 
-    def delegate(self, ctx, args):
-        """Point a label at a child zone contract: (label, zone address)."""
-        ctx.require_owner()
-        label = self._label(args)
-        child = want_account(args, 1, "zone address")
-        old = self._current(ctx, label)
+    def delegate(self, ctx, name, child):
+        """Point a label at a child zone contract."""
+        old = self._current(ctx, name)
         record = NameRecord(child, old.service_key, old.uri, old.text)
-        ctx.set(NAME_PREFIX + label.encode(), record.encode())
+        ctx.set(NAME_PREFIX + name.encode(), record.encode())
 
-    def unset(self, ctx, args):
-        ctx.require_owner()
-        label = self._label(args)
-        ctx.remove(NAME_PREFIX + label.encode(), "UnknownLabel", label)
+    def unset(self, ctx, name):
+        ctx.remove(NAME_PREFIX + name.encode(), "UnknownLabel", name)

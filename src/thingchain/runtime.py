@@ -42,24 +42,73 @@ def contract_address(deployer: bytes, nonce: int) -> bytes:
     return digest(b"contract:" + deployer + enc_u64(nonce))
 
 
+# --- declared argument types: each checks one decoded value and returns it --
+
+
+def _type(name: str, test):
+    def check(value):
+        if not test(value):
+            raise Revert(BAD_ARGS, f"expected {name}")
+        return value
+
+    check.__name__ = name
+    return check
+
+
+i64 = _type("i64", lambda v: type(v) is int)     # unlike isinstance, rejects bools
+u64 = _type("u64", lambda v: type(v) is int and v >= 0)
+str_ = _type("str", lambda v: type(v) is str)
+bytes_ = _type("bytes", lambda v: type(v) is bytes)
+account = _type("account", lambda v: type(v) is bytes and len(v) == DIGEST_SIZE)
+
+
+def checked(types: tuple, args: list) -> list:
+    """The values at the declared positions, checked in order; values past
+    the declaration are ignored."""
+    values = [kind(value) for kind, value in zip(types, args)]
+    if len(values) < len(types):
+        raise Revert(BAD_ARGS, f"missing value at position {len(values)}")
+    return values
+
+
+def only_owner(ctx) -> None:
+    """Guard: the caller must be the contract's owner."""
+    if ctx.caller != ctx.owner:
+        raise Revert(NOT_OWNER)
+
+
+class Export:
+    """A method's declaration: its argument types and an optional guard,
+    a callable that reverts unless ``ctx`` may call the method."""
+
+    def __init__(self, *types, guard=None):
+        self.types, self.guard = types, guard
+
+
 class Behavior:
     """Base class for registered contract behaviors.
 
-    Subclasses set `code_id`, list callable method names in `exports`, and
-    implement each export as `def name(self, ctx, args)` where `args` is the
-    decoded value list.  `init` runs once at deployment.
+    Subclasses set `code_id`, map each callable method name to its `Export`
+    in `exports`, and implement it as `def name(self, ctx, *values)`.  `init`
+    runs once at deployment, with the values `init_types` declares or, when
+    the deployment passes no arguments, with none.
     """
 
     code_id = ""
-    exports: tuple = ()
+    exports: dict = {}
+    init_types: tuple = ()
 
-    def init(self, ctx, args: list) -> None:
+    def init(self, ctx, *values) -> None:
         pass
 
     def dispatch(self, ctx, method: str, args: list) -> bytes | None:
-        if method not in self.exports:
+        export = self.exports.get(method)
+        if export is None:
             raise Revert(METHOD_NOT_FOUND, method)
-        return getattr(self, method)(ctx, args)
+        if export.guard is not None:
+            export.guard(ctx)
+        # looked up per call, so a method patched on the class takes effect
+        return getattr(self, method)(ctx, *checked(export.types, args))
 
 
 class Registry:
@@ -81,58 +130,31 @@ class Registry:
         return self._by_id.get(code_id)
 
 
-# --- argument helpers used by behavior implementations ----------------------
-
-
-def want(args: list, index: int, kind: type, what: str):
-    if index >= len(args) or not isinstance(args[index], kind) or (
-        kind is int and isinstance(args[index], bool)
-    ):
-        raise Revert(BAD_ARGS, f"expected {what} at position {index}")
-    return args[index]
-
-
-def want_bytes(args, index, what="bytes"):
-    return want(args, index, bytes, what)
-
-
-def want_str(args, index, what="string"):
-    return want(args, index, str, what)
-
-
-def want_int(args, index, what="integer"):
-    return want(args, index, int, what)
-
-
-def want_account(args, index, what="account"):
-    value = want(args, index, bytes, what)
-    if len(value) != DIGEST_SIZE:
-        raise Revert(BAD_ARGS, f"{what} must be {DIGEST_SIZE} bytes")
-    return value
-
-
 class Members:
     """An owner-managed set of accounts, stored as ``<prefix><account>`` keys.
 
-    The owner is always a member without being listed, and only the owner
-    can change the set.  `allow` and `revoke` take a method's ``(ctx, args)``
-    so a behavior can export them directly.
+    The owner is always a member without being listed.  The set is the
+    guard of a members-only method; a behavior exports `allow` and `revoke`
+    directly, declared ``Export(account, guard=only_owner)``.
     """
 
     def __init__(self, prefix: bytes, unknown_reason: str):
         self.prefix = prefix
         self.unknown_reason = unknown_reason
 
-    def contains(self, ctx, account: bytes) -> bool:
-        return account == ctx.owner or ctx.get(self.prefix + account) is not None
+    def contains(self, ctx, member: bytes) -> bool:
+        return member == ctx.owner or ctx.get(self.prefix + member) is not None
 
-    def allow(self, ctx, args):
-        ctx.require_owner()
-        ctx.set(self.prefix + want_account(args, 0), b"\x01")
+    def __call__(self, ctx) -> None:
+        """Guard: the caller must be a member."""
+        if not self.contains(ctx, ctx.caller):
+            raise Revert(NOT_AUTHORIZED, f"caller is not listed under {self.prefix!r}")
 
-    def revoke(self, ctx, args):
-        ctx.require_owner()
-        ctx.remove(self.prefix + want_account(args, 0), self.unknown_reason)
+    def allow(self, ctx, member: bytes):
+        ctx.set(self.prefix + member, b"\x01")
+
+    def revoke(self, ctx, member: bytes):
+        ctx.remove(self.prefix + member, self.unknown_reason)
 
 
 class CallContext:
@@ -161,10 +183,6 @@ class CallContext:
     @property
     def owner(self) -> bytes:
         return self._executor.world.contract(self.address).owner
-
-    def require_owner(self) -> None:
-        if self.caller != self.owner:
-            raise Revert(NOT_OWNER)
 
     # --- storage ----------------------------------------------------------
 
@@ -273,7 +291,7 @@ class Executor:
             args = decode_values(init_args) if init_args else []
         except Exception as exc:
             raise Revert(BAD_ARGS, f"undecodable init args: {exc}") from exc
-        behavior.init(ctx, args)
+        behavior.init(ctx, *(checked(behavior.init_types, args) if args else ()))
         return address
 
     def run_call(self, address: bytes, caller: bytes, method: str, args: bytes,
@@ -318,7 +336,11 @@ def execute_transaction(world: WorldState, registry: Registry, tx: Transaction,
     """Run a validated transaction; returns (receipt, committed storage writes).
 
     The nonce bump happens before the call and survives a revert, so every
-    submitted transaction stays attributable on-chain exactly once.
+    submitted transaction stays attributable on-chain exactly once.  Any
+    other exception is a program fault, not a transaction outcome: the world
+    is left as it was found, nonce included, and the exception re-raised, so
+    the transaction is not staged.  (A reverted receipt would write Python's
+    exception behavior into consensus.)
     """
     sender = tx.sender
     world.push_layer()
@@ -348,6 +370,9 @@ def execute_transaction(world: WorldState, registry: Registry, tx: Transaction,
         # re-apply the nonce bump at the enclosing (block) layer
         world.nonces.set(sender, world.nonce(sender) + 1)
         return Receipt(STATUS_REVERTED, exc.reason), []
+    except BaseException:
+        world.pop_layer(merge=False)
+        raise
     world.pop_layer(merge=True)
     events = tuple(
         Event(source, name, payload, height, tx_index)

@@ -3,7 +3,7 @@ import pytest
 from thingchain import Node, Registry, Revert, Signer
 from thingchain.codec import decode_values, encode_values
 from thingchain.errors import StaticCallError, UnknownContract
-from thingchain.runtime import Behavior, contract_address
+from thingchain.runtime import Behavior, Export, bytes_, contract_address
 
 
 def test_deploy_twice_independent_instances(node, alice):
@@ -208,12 +208,12 @@ class ChainCaller(Behavior):
     """Test behavior: hop() forwards to the next contract, depth-first."""
 
     code_id = "chain_caller"
-    exports = ("hop", "set_next")
+    exports = {"hop": Export(), "set_next": Export(bytes_)}
 
-    def set_next(self, ctx, args):
-        ctx.set(b"next", args[0])
+    def set_next(self, ctx, nxt):
+        ctx.set(b"next", nxt)
 
-    def hop(self, ctx, args):
+    def hop(self, ctx):
         nxt = ctx.get(b"next")
         if nxt is None:
             return encode_values([ctx.depth])
