@@ -51,7 +51,6 @@ class GatewayConfig:
     journal_path: str
     listen: str = ""                                 # "host:port"; "" = no UDP endpoint
     requesters: dict = field(default_factory=dict)   # endpoint -> account seed
-    root_zones: list = field(default_factory=list)   # zone contract addresses
     genesis: dict = field(default_factory=dict)      # account seed -> tokens
 
     @classmethod
@@ -66,7 +65,6 @@ class GatewayConfig:
             journal_path=raw["journal"],
             listen=raw.get("listen", "127.0.0.1:5683"),
             requesters=dict(raw.get("requesters", {})),
-            root_zones=[bytes.fromhex(a) for a in raw.get("root_zones", [])],
             genesis=dict(raw.get("genesis", {})),
         )
 
@@ -145,13 +143,12 @@ class Gateway:
     receive buffer instead of being dropped.
     """
 
-    def __init__(self, node, config: GatewayConfig, transport=None,
-                 sleep_fn=None):
+    def __init__(self, node, config: GatewayConfig, transport=None):
         self._sock = _bind_udp(config.listen) if config.listen else None
         self.node = node
         self.config = config
         self.transport = transport if transport is not None else RecordingTransport()
-        self.sleep_fn = sleep_fn
+        self.sleep_fn = None                      # called with each retry backoff, if set
         self.journal = Journal(config.journal_path)
         self.things: dict[str, ThingRegistration] = {}
         self.cursor = (0, -1)                     # last fully processed (height, tx_index)
@@ -195,6 +192,10 @@ class Gateway:
                 self.cursor = (record[1], record[2])
             elif kind == "dead":
                 self._dead_letter(tuple(record[1:]))
+        # a node rebuilt from an older export is behind the journal's cursor:
+        # its next blocks reuse those heights, and their events are new
+        tip = self.node.blocks[-1]
+        self.cursor = min(self.cursor, (tip.height, len(tip.txs) - 1))
 
     def register_thing(self, thing_id: str, endpoint: str = "", sink_uri: str = "",
                        feed_addr: bytes | None = None) -> ThingRegistration:
@@ -408,8 +409,8 @@ class Gateway:
         """Call ``deliver(destination, data)`` until it returns, at most
         MAX_DELIVERY_ATTEMPTS times; returns 1, or 0 once the event is
         dead-lettered.  Between attempts it calls ``sleep_fn`` with a capped
-        exponential backoff in ticks, when the gateway was given one; without
-        one (``thingchain gateway`` gives none) the attempts run back to back."""
+        exponential backoff in ticks, when one is set; without one (the
+        default) the attempts run back to back."""
         backoff = RETRY_BASE_TICKS
         for attempt in range(1, MAX_DELIVERY_ATTEMPTS + 1):
             try:

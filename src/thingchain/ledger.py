@@ -3,7 +3,8 @@ history queries and full replay.
 
 Submissions execute immediately against a pending-block overlay and return
 their receipt; `seal_block` commits the batch.  External reads (balances,
-read_state, history, state digest) always observe the last sealed block.
+read_state, history, read-only calls) go through `Node.sealed`, one live view
+of the last sealed block, and the state digest reads the same committed maps.
 `Node.batch` and replay check signatures through `_Lanes`: in a `Verifier`
 worker process, and in this process in place of waiting for the worker.
 """
@@ -61,6 +62,7 @@ class Node:
         self.config = config
         self.registry = registry if registry is not None else default_registry()
         self.world = WorldState()
+        self.sealed = self.world.committed_view()   # what every external read sees
         for account, amount in config.alloc:
             self.world.credit(account, amount)
         self.blocks: list[Block] = [genesis_block(config)]
@@ -92,11 +94,11 @@ class Node:
 
     def balance(self, account: bytes) -> int:
         with self._lock:
-            return self.world.balance(account, committed_only=True)
+            return self.sealed.balance(account)
 
     def nonce(self, account: bytes) -> int:
         with self._lock:
-            return self.world.nonce(account, committed_only=True)
+            return self.sealed.nonce(account)
 
     def next_nonce(self, account: bytes) -> int:
         """Nonce for the next transaction, counting pending submissions."""
@@ -242,25 +244,25 @@ class Node:
 
     def contract_info(self, address: bytes) -> ContractMeta:
         with self._lock:
-            meta = self.world.contract(address, committed_only=True)
+            meta = self.sealed.contract(address)
             if meta is None:
                 raise UnknownContract(address.hex())
             return meta
 
     def contract_exists(self, address: bytes) -> bool:
         with self._lock:
-            return self.world.contract(address, committed_only=True) is not None
+            return self.sealed.contract(address) is not None
 
     def read_state(self, address: bytes, key: bytes) -> bytes | None:
         """Uncredentialed read of committed contract state (None if absent)."""
         with self._lock:
             self.contract_info(address)
-            return self.world.get_storage(address, key, committed_only=True)
+            return self.sealed.get_storage(address, key)
 
     def state_keys(self, address: bytes, prefix: bytes = b"") -> list[bytes]:
         with self._lock:
             self.contract_info(address)
-            return self.world.storage_keys(address, prefix, committed_only=True)
+            return self.sealed.storage_keys(address, prefix)
 
     def history(self, address: bytes, key: bytes) -> list[tuple[int, bytes | None]]:
         """Every committed write to a key, in height order; deletes are None."""
@@ -281,7 +283,7 @@ class Node:
         with self._lock:
             height = len(self.blocks)
             return static_call(
-                self.world, self.registry, address, method, args, height, caller,
+                self.sealed, self.registry, address, method, args, height, caller,
             )
 
     # ------------------------------------------------------------------
@@ -429,20 +431,21 @@ def _verify_requests(requests, verdicts, *parent_ends) -> None:
 class Verifier:
     """One forked worker process that verifies Ed25519 signatures.
 
-    ``send`` ships (verification key, signature, signing bytes) triples to
-    the worker, and ``take(n)`` returns the next n verdicts, one byte each
-    (1 when the signature verifies), in the order they were sent.  The
-    worker is forked on construction, so nothing of this module is pickled
-    for it, and it runs the ``verify_signature`` the module holds then.
-    Verification holds the interpreter lock, so it runs on another CPU
-    while the caller executes.  ``take_ready`` returns, without waiting,
-    the verdicts already back, so a caller with other work to do
-    (`_Lanes`) need not block in ``take``.  `_Lanes` keeps at most
+    ``send`` ships one message of (verification key, signature, signing
+    bytes) triples to the worker, and ``receive`` returns the worker's
+    answer to the oldest message not yet received: one verdict byte per
+    triple (1 when the signature verifies), in the order they were sent.
+    With ``wait=False`` it returns b"" at once if no answer is back, so a
+    caller with other work to do (`_Lanes`, which buffers the verdicts)
+    need not block.  The worker is forked on construction, so nothing of
+    this module is pickled for it, and it runs the ``verify_signature``
+    the module holds then.  Verification holds the interpreter lock, so it
+    runs on another CPU while the caller executes.  `_Lanes` keeps at most
     ``_REPLAY_AHEAD`` = 64 signatures unanswered, so neither pipe can fill:
     64 triples are a few KB (13 KB for feed pushes) and 64 verdicts a few
     hundred bytes, while a pipe holds 64 KB on Linux.  ``close``, or
     leaving a ``with`` block, terminates and joins the worker; if it dies,
-    ``take``, ``take_ready`` or ``send`` raises ChildProcessError.
+    ``send`` or ``receive`` raises ChildProcessError.
     """
 
     def __init__(self):
@@ -453,7 +456,6 @@ class Verifier:
         self._verdicts, verdicts_out = context.Pipe(duplex=False)
         self._worker = context.Process(target=_verify_requests, name="thingchain-verify", args=(
             requests_in, verdicts_out, self._requests, self._verdicts))
-        self._ready = bytearray()     # verdicts read from the worker and not yet taken
         try:
             with requests_in, verdicts_out:   # the worker's ends stay open only in the worker
                 self._worker.start()
@@ -468,26 +470,13 @@ class Verifier:
         except BrokenPipeError:
             self._worker_exited()
 
-    def take(self, count: int) -> bytes:
-        while len(self._ready) < count:
-            self._receive()
-        verdicts = bytes(self._ready[:count])
-        del self._ready[:count]
-        return verdicts
-
-    def take_ready(self) -> bytes:
-        """Return every verdict the worker has answered so far, without
-        waiting for more."""
-        while self._verdicts.poll():
-            self._receive()
-        return self.take(len(self._ready))
-
-    def _receive(self) -> None:
+    def receive(self, wait: bool = True) -> bytes:
+        if not wait and not self._verdicts.poll():
+            return b""
         try:
-            chunk = self._verdicts.recv_bytes()
+            return self._verdicts.recv_bytes()
         except EOFError:       # the worker is gone before its last verdict
             self._worker_exited()
-        self._ready += chunk
 
     def _worker_exited(self):
         self._worker.join()
@@ -509,7 +498,8 @@ class Verifier:
 
 
 class _Lanes:
-    """Signature verdicts, in submission order, from two lanes.
+    """Signature verdicts, in submission order, from two lanes, kept in the
+    one verdict buffer, into which the worker's answers are filed.
 
     `add` takes transactions as they arrive: one per `submit` in a batch,
     a whole chain in replay.  Each signature is handed out once, in order:
@@ -546,7 +536,7 @@ class _Lanes:
                 self._verdicts[self._handed] = verify_signature(*_signed(tx))
                 self._handed += 1
             else:
-                self._collect(self._verifier.take(1))
+                self._collect(self._verifier.receive())
         self._taken = stop
         return bytes(self._verdicts[start:stop])
 
@@ -556,8 +546,8 @@ class _Lanes:
         quarter of that to a message: the worker answers a message whole, so
         smaller messages bring verdicts back sooner and leave it one to go
         on with while this process reads an answer."""
-        if self._at_worker:
-            self._collect(self._verifier.take_ready())
+        while self._at_worker and (verdicts := self._verifier.receive(wait=False)):
+            self._collect(verdicts)
         start, per_message = self._handed, _REPLAY_AHEAD // 4
         stop = min(len(self._txs), start + _REPLAY_AHEAD - len(self._at_worker))
         for first in range(start, stop, per_message):

@@ -1,8 +1,8 @@
 """World state with committed / pending-block / batch / pending-transaction
 layers.
 
-External reads (read_state, history, balances, the state digest) see only the
-committed layer, i.e. state as of the last sealed block.  Execution reads go
+External reads see state as of the last sealed block, through a layer-free
+`committed_view` that shares the committed base maps.  Execution reads go
 through all layers so transactions in the same block observe earlier writes.
 A reverted transaction simply drops its layer, and so does a batch whose
 signatures do not all verify.
@@ -41,7 +41,8 @@ _U32 = struct.Struct(">I").pack
 
 
 class LayeredMap:
-    """A dict with up to three overlay layers: block, batch and transaction."""
+    """A dict with up to three overlay layers: block, batch and transaction.
+    It has no delete, so its committed base holds live values only."""
 
     def __init__(self):
         self.base: dict = {}
@@ -59,12 +60,11 @@ class LayeredMap:
             else:
                 self._commit(top)
 
-    def get(self, key, default=None, committed_only: bool = False):
-        if not committed_only:
-            for layer in reversed(self.layers):
-                if key in layer:
-                    value = layer[key]
-                    return default if value is _TOMBSTONE else value
+    def get(self, key, default=None):
+        for layer in reversed(self.layers):
+            if key in layer:
+                value = layer[key]
+                return default if value is _TOMBSTONE else value
         value = self._committed(key)
         return default if value is _TOMBSTONE else value
 
@@ -74,12 +74,9 @@ class LayeredMap:
         else:
             self._commit({key: value})
 
-    def delete(self, key) -> None:
-        self.set(key, _TOMBSTONE)
-
     def keys(self):
-        """All committed live keys, in sorted order."""
-        return sorted(k for k, v in self.base.items() if v is not _TOMBSTONE)
+        """All committed keys, in sorted order."""
+        return sorted(self.base)
 
     def _committed(self, key):
         return self.base.get(key, _TOMBSTONE)
@@ -96,6 +93,9 @@ class StorageMap(LayeredMap):
     Its stale set holds addresses.
     """
 
+    def delete(self, key) -> None:
+        self.set(key, _TOMBSTONE)
+
     def _committed(self, key):
         address, name = key
         return self.base.get(address, {}).get(name, _TOMBSTONE)
@@ -109,13 +109,11 @@ class StorageMap(LayeredMap):
         if self.stale is not None:
             self.stale.update(address for address, _ in layer)
 
-    def contract_keys(self, address: bytes, prefix: bytes = b"",
-                      committed_only: bool = False) -> list[bytes]:
+    def contract_keys(self, address: bytes, prefix: bytes = b"") -> list[bytes]:
         """One contract's live keys starting with prefix, in sorted order."""
         merged = dict(self.base.get(address, {}))
-        if not committed_only:
-            for layer in self.layers:
-                merged.update((name, v) for (addr, name), v in layer.items() if addr == address)
+        for layer in self.layers:
+            merged.update((name, v) for (addr, name), v in layer.items() if addr == address)
         return sorted(k for k, v in merged.items() if v is not _TOMBSTONE and k.startswith(prefix))
 
 
@@ -152,13 +150,14 @@ class WorldState:
             m.pop(merge)
 
     def committed_view(self) -> "WorldState":
-        """A layer-free view sharing the committed base maps.
-
-        Used for read-only calls; writers must never touch a view (the static
+        """A layer-free view sharing the committed base maps, which commits
+        change in place, so one view shows each block as it commits; on a
+        view, the view itself.  Writers must never touch a view (the static
         execution guards enforce this before any mutation path is reached).
-        A view keeps no digest parts: its owner's later commits mark only the
-        owner's parts stale.
-        """
+        A view keeps no digest parts: its owner's later commits mark only
+        the owner's parts stale."""
+        if self._sections is None:
+            return self
         view = WorldState()
         for mine, theirs in zip(view._maps(), self._maps()):
             mine.base = theirs.base
@@ -167,11 +166,11 @@ class WorldState:
 
     # --- accounts ------------------------------------------------------
 
-    def balance(self, account: bytes, committed_only: bool = False) -> int:
-        return self.balances.get(account, 0, committed_only)
+    def balance(self, account: bytes) -> int:
+        return self.balances.get(account, 0)
 
-    def nonce(self, account: bytes, committed_only: bool = False) -> int:
-        return self.nonces.get(account, 0, committed_only)
+    def nonce(self, account: bytes) -> int:
+        return self.nonces.get(account, 0)
 
     def credit(self, account: bytes, amount: int) -> None:
         self.balances.set(account, self.balance(account) + amount)
@@ -184,8 +183,8 @@ class WorldState:
 
     # --- contracts -----------------------------------------------------
 
-    def contract(self, address: bytes, committed_only: bool = False) -> ContractMeta | None:
-        return self.contracts.get(address, None, committed_only)
+    def contract(self, address: bytes) -> ContractMeta | None:
+        return self.contracts.get(address)
 
     def set_contract(self, address: bytes, meta: ContractMeta) -> None:
         self.contracts.set(address, meta)
@@ -195,8 +194,8 @@ class WorldState:
         self.contracts.set(address, meta)
         return meta
 
-    def get_storage(self, address: bytes, key: bytes, committed_only: bool = False) -> bytes | None:
-        return self.storage.get((address, key), None, committed_only)
+    def get_storage(self, address: bytes, key: bytes) -> bytes | None:
+        return self.storage.get((address, key))
 
     def set_storage(self, address: bytes, key: bytes, value: bytes) -> None:
         self.storage.set((address, key), value)
@@ -204,8 +203,8 @@ class WorldState:
     def delete_storage(self, address: bytes, key: bytes) -> None:
         self.storage.delete((address, key))
 
-    def storage_keys(self, address: bytes, prefix: bytes = b"", committed_only: bool = False):
-        return self.storage.contract_keys(address, prefix, committed_only)
+    def storage_keys(self, address: bytes, prefix: bytes = b""):
+        return self.storage.contract_keys(address, prefix)
 
     # --- digest --------------------------------------------------------
 
@@ -249,7 +248,7 @@ class WorldState:
         """Re-encode the digest parts of one id committed since the last
         digest.  A contract at an id hides its account row, and storage
         under an id with no contract is not digested."""
-        if self.contract(key, committed_only=True) is None:
+        if key not in self.contracts.base:
             self._sections.drop(key)
             row = self._row(key)
             if row is None:
@@ -262,14 +261,14 @@ class WorldState:
 
     def _row(self, acct: bytes) -> bytes | None:
         """One account's part of the digest, or None at (balance 0, nonce 0)."""
-        bal = self.balance(acct, committed_only=True)
-        non = self.nonce(acct, committed_only=True)
+        bal = self.balances.base.get(acct, 0)
+        non = self.nonces.base.get(acct, 0)
         return acct + enc_u64(bal) + enc_u64(non) if bal or non else None
 
     def _section(self, addr: bytes) -> bytes:
         """One contract's part of the digest: its metadata, then its committed
         key/value pairs in key order."""
-        meta = self.contract(addr, committed_only=True)
+        meta = self.contracts.base[addr]
         slots = self.storage.base.get(addr, {})
         parts = [addr, enc_str(meta.code_id), meta.owner, enc_u64(meta.balance),
                  enc_u8(1 if meta.killed else 0), enc_u32(len(slots))]
@@ -282,10 +281,8 @@ class WorldState:
 
     def total_supply(self) -> int:
         """Sum of committed account and contract balances (conservation check)."""
-        total = sum(self.balance(k, committed_only=True) for k in self.balances.keys())
-        for addr in self.contracts.keys():
-            total += self.contract(addr, committed_only=True).balance
-        return total
+        return (sum(self.balances.base.values())
+                + sum(meta.balance for meta in self.contracts.base.values()))
 
 
 class _Parts(dict):

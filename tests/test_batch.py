@@ -202,7 +202,7 @@ def test_verifier_reports_a_dead_worker(monkeypatch, alice):
     with Verifier() as verifier:
         verifier.send([ledger._signed(tx)])
         with pytest.raises(ChildProcessError, match="exit code 3"):
-            verifier.take(1)
+            verifier.receive()
     assert multiprocessing.active_children() == []
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thingchain import Node, Signer
+from thingchain.chain import load_chain
 from thingchain.codec import decode_values, encode_values
 from thingchain.errors import DuplicateThing, NotListening
 from thingchain.gateway import Gateway, GatewayConfig, Journal, wire
@@ -395,6 +396,30 @@ def test_watcher_restart_loses_no_events(tmp_path):
                     onchain[(block.height, tx_index)] = decode_values(event.payload)[0]
     assert received == onchain
     assert sorted(onchain.values()) == ["a1", "a2", "a3"]
+
+
+def test_restart_on_an_older_chain_skips_no_event(tmp_path):
+    """A journaled cursor past the tip of a node rebuilt from an older
+    export is brought back to that tip, so the events of the blocks sealed
+    again at those heights are delivered."""
+    gw = make_gateway(tmp_path)
+    reg = gw.register_thing("t17", endpoint="sim:t17")
+    gw.allow_requester(reg, "ep:council")
+    saved = gw.node.export_bytes()               # height 2
+    for action in ("a1", "a2", "a3"):
+        _actuate(gw, reg, action=action)
+    assert gw.poll_events() == 3
+    assert gw.cursor == (5, 0)
+    gw.close()
+    node = Node.from_chain(*load_chain(saved))
+    gw2 = make_gateway(tmp_path, node=node)
+    assert gw2.cursor == (2, 0)
+    _actuate(gw2, reg, action="a4")
+    assert node.height == 3
+    assert gw2.poll_events() == 1
+    (endpoint, data), = gw2.transport.datagrams
+    assert endpoint == "sim:t17"
+    assert decode_values(wire.decode_message(data).payload)[:4] == [3, 0, 0, "a4"]
 
 
 def test_delivery_failures_dead_letter_and_cursor_advances(tmp_path):

@@ -30,7 +30,6 @@ def test_config_file_roundtrip(tmp_path):
     assert config.master_seed == "cfg-master"
     assert config.listen == "127.0.0.1:19001"
     assert config.requesters == {"ep:ops": "ops"}
-    assert config.root_zones == [bytes.fromhex("ab" * 32)]
     assert config.genesis == {"ops": 40}
 
 

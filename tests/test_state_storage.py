@@ -87,16 +87,12 @@ class StorageMachine(RuleBasedStateMachine):
         for addr in ADDRESSES:
             for key in KEYS:
                 assert self.world.get_storage(addr, key) == live.get((addr, key))
-                assert self.world.get_storage(addr, key, committed_only=True) \
-                    == committed.get((addr, key))
                 assert view.get_storage(addr, key) == committed.get((addr, key))
             for prefix in PREFIXES:
                 def listed(model):
                     return sorted(k for (a, k) in model if a == addr and k.startswith(prefix))
 
                 assert self.world.storage_keys(addr, prefix) == listed(live)
-                assert self.world.storage_keys(addr, prefix, committed_only=True) \
-                    == listed(committed)
                 assert view.storage_keys(addr, prefix) == listed(committed)
 
     @invariant()
@@ -126,13 +122,13 @@ def test_delete_then_reinsert_across_layers():
     assert world.get_storage(addr, b"k") == b"2"
     world.pop_layer(merge=False)          # transaction reverted
     assert world.storage_keys(addr) == []
-    assert world.storage_keys(addr, committed_only=True) == [b"k"]
+    assert world.committed_view().storage_keys(addr) == [b"k"]
     world.pop_layer(merge=True)           # sealed: the delete lands
     assert world.storage.base[addr] == {}
     assert world.get_storage(addr, b"k") is None
     world.push_layer()
     world.set_storage(addr, b"k", b"3")
     world.pop_layer(merge=True)
-    assert world.storage_keys(addr, committed_only=True) == [b"k"]
+    assert world.committed_view().storage_keys(addr) == [b"k"]
     assert world.state_digest() == flat_digest({addr: ContractMeta("feed", OWNER)},
                                                {(addr, b"k"): b"3"})
