@@ -4,7 +4,8 @@ outlive a process.
 
 Every field is length-prefixed (or fixed width) and concatenated in declared
 order, so distinct inputs never produce identical byte strings.  All integers
-are big-endian.
+are big-endian.  Decoding never recurses, so whether bytes decode does not
+depend on the caller's stack depth.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ U64_MAX = 0xFFFFFFFFFFFFFFFF
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
 
+_U16, _U32, _U64, _I64 = map(struct.Struct, (">H", ">I", ">Q", ">q"))
+
 
 def enc_u8(n: int) -> bytes:
     if not 0 <= n <= 0xFF:
@@ -30,31 +33,31 @@ def enc_u8(n: int) -> bytes:
 def enc_u16(n: int) -> bytes:
     if not 0 <= n <= U16_MAX:
         raise ValueError(f"u16 out of range: {n}")
-    return struct.pack(">H", n)
+    return _U16.pack(n)
 
 
 def enc_u32(n: int) -> bytes:
     if not 0 <= n <= U32_MAX:
         raise ValueError(f"u32 out of range: {n}")
-    return struct.pack(">I", n)
+    return _U32.pack(n)
 
 
 def enc_u64(n: int) -> bytes:
     if not 0 <= n <= U64_MAX:
         raise ValueError(f"u64 out of range: {n}")
-    return struct.pack(">Q", n)
+    return _U64.pack(n)
 
 
 def enc_i64(n: int) -> bytes:
     if not I64_MIN <= n <= I64_MAX:
         raise ValueError(f"i64 out of range: {n}")
-    return struct.pack(">q", n)
+    return _I64.pack(n)
 
 
 def enc_bytes(b: bytes) -> bytes:
     if len(b) > U32_MAX:
         raise ValueError("byte string too long")
-    return enc_u32(len(b)) + b
+    return _U32.pack(len(b)) + b
 
 
 def enc_str(s: str) -> bytes:
@@ -67,6 +70,19 @@ def frame(payload: bytes) -> bytes:
     return enc_bytes(payload) + enc_u32(zlib.crc32(payload))
 
 
+def _field(fmt: str):
+    """A `Reader` method that reads one fixed-width integer of ``fmt``."""
+    unpack_from, size = struct.Struct(fmt).unpack_from, struct.calcsize(fmt)
+
+    def read(self) -> int:
+        pos = self.pos
+        if pos + size > len(self.data):
+            raise DecodeError(f"truncated input at offset {pos}")
+        self.pos = pos + size
+        return unpack_from(self.data, pos)[0]
+    return read
+
+
 class Reader:
     """Sequential decoder over a byte string; raises DecodeError on underrun."""
 
@@ -75,26 +91,17 @@ class Reader:
         self.pos = 0
 
     def take(self, n: int) -> bytes:
-        if n < 0 or self.pos + n > len(self.data):
-            raise DecodeError(f"truncated input at offset {self.pos}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        pos = self.pos
+        if n < 0 or pos + n > len(self.data):
+            raise DecodeError(f"truncated input at offset {pos}")
+        self.pos = pos + n
+        return self.data[pos : pos + n]
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def i64(self) -> int:
-        return struct.unpack(">q", self.take(8))[0]
+    u8 = _field(">B")
+    u16 = _field(">H")
+    u32 = _field(">I")
+    u64 = _field(">Q")
+    i64 = _field(">q")
 
     def bytes_(self) -> bytes:
         return self.take(self.u32())
@@ -134,50 +141,76 @@ TAG_INT = 2
 TAG_BOOL = 3
 TAG_LIST = 4
 
-Value = "bytes | str | int | bool | list"
+_KINDS = frozenset((bool, bytes, str, int, list, tuple))
 
 
-def _enc_value(v) -> bytes:
-    # bool before int: bool is an int subclass
-    if isinstance(v, bool):
-        return enc_u8(TAG_BOOL) + enc_u8(1 if v else 0)
-    if isinstance(v, bytes):
-        return enc_u8(TAG_BYTES) + enc_bytes(v)
-    if isinstance(v, str):
-        return enc_u8(TAG_STR) + enc_str(v)
-    if isinstance(v, int):
-        return enc_u8(TAG_INT) + enc_i64(v)
-    if isinstance(v, (list, tuple)):
-        out = [enc_u8(TAG_LIST), enc_u32(len(v))]
-        out.extend(_enc_value(item) for item in v)
-        return b"".join(out)
-    raise TypeError(f"unsupported value type: {type(v).__name__}")
+def _enc_values(values, out: list) -> None:
+    """Append the tagged encoding of each of ``values`` to ``out``, by its
+    type if that is in _KINDS, else by its one base in _KINDS (bool has no
+    subclasses, and no class derives from two of the others)."""
+    for v in values:
+        kind = type(v)
+        if kind not in _KINDS:
+            kind = next((base for base in _KINDS if isinstance(v, base)), None)
+            if kind is None:
+                raise TypeError(f"unsupported value type: {type(v).__name__}")
+        if kind is int:
+            out.append(b"\x02" + enc_i64(v))       # TAG_INT
+        elif kind is str:
+            out.append(b"\x01" + enc_str(v))       # TAG_STR
+        elif kind is bytes:
+            out.append(b"\x00" + enc_bytes(v))     # TAG_BYTES
+        elif kind is bool:
+            out.append(b"\x03\x01" if v else b"\x03\x00")   # TAG_BOOL
+        else:
+            out.append(b"\x04" + _U32.pack(len(v)))   # TAG_LIST
+            _enc_values(v, out)
 
 
 def encode_values(values) -> bytes:
     """Encode a flat argument list into canonical bytes."""
     out = [enc_u32(len(values))]
-    out.extend(_enc_value(v) for v in values)
+    _enc_values(values, out)
     return b"".join(out)
 
 
-def _dec_value(r: Reader):
-    tag = r.u8()
-    if tag == TAG_BYTES:
-        return r.bytes_()
-    if tag == TAG_STR:
-        return r.str_()
-    if tag == TAG_INT:
-        return r.i64()
-    if tag == TAG_BOOL:
-        return r.u8() != 0
-    if tag == TAG_LIST:
-        return [_dec_value(r) for _ in range(r.u32())]
-    raise DecodeError(f"unknown value tag {tag}")
-
-
 def decode_values(data: bytes) -> list:
-    r = Reader(data)
-    values = [_dec_value(r) for _ in range(r.u32())]
-    r.expect_end()
+    """The value list that `encode_values` wrote as ``data``; DecodeError on
+    an underrun, an unknown tag, invalid UTF-8 or trailing bytes.  Each value
+    goes into the innermost list still open, kept on an explicit stack."""
+    values, open_lists, pos = [], [], 0   # open_lists: (list, values it still lacks)
+    try:
+        into, left, pos = values, _U32.unpack_from(data)[0], 4
+        while left or open_lists:
+            if not left:
+                into, left = open_lists.pop()
+                continue
+            left -= 1
+            tag, pos = data[pos], pos + 1
+            if tag == TAG_INT:
+                into.append(_I64.unpack_from(data, pos)[0])
+                pos += 8
+            elif tag == TAG_BOOL:
+                into.append(data[pos] != 0)
+                pos += 1
+            elif tag > TAG_LIST:
+                raise DecodeError(f"unknown value tag {tag}")
+            else:   # a u32 count, then that many values or bytes
+                count, pos = _U32.unpack_from(data, pos)[0], pos + 4
+                if tag == TAG_LIST:
+                    inner = []
+                    into.append(inner)
+                    open_lists.append((into, left))
+                    into, left = inner, count
+                elif pos + count > len(data):
+                    raise DecodeError(f"truncated input at offset {pos}")
+                else:
+                    raw, pos = data[pos : pos + count], pos + count
+                    into.append(raw.decode("utf-8") if tag == TAG_STR else raw)
+    except (struct.error, IndexError):   # a fixed-width field past the end
+        raise DecodeError(f"truncated input at offset {pos}") from None
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"invalid utf-8 at offset {pos}") from exc
+    if pos != len(data):
+        raise DecodeError(f"{len(data) - pos} trailing bytes")
     return values

@@ -12,6 +12,7 @@ worker process, and in this process in place of waiting for the worker.
 from __future__ import annotations
 
 import os
+import select
 import threading
 from collections import deque
 from contextlib import contextmanager, nullcontext, suppress
@@ -164,8 +165,10 @@ class Node:
         This is execute-order-validate on the single sequencer: each `submit`
         validates and executes its transaction at once, in a batch layer over
         the pending block, and adds it to the batch's `_Lanes` over
-        ``verifier``.  On leaving the block the batch takes the verdicts and,
-        if every one is true, seals one block (none if the batch staged
+        ``verifier``, kept ``_BATCH_AHEAD`` signatures ahead.  On leaving the
+        block the batch takes the verdicts, verifying the signatures not yet
+        sent from the batch's end while the worker answers from its front,
+        and, if every one is true, seals one block (none if it staged
         nothing).  If a verdict is false it raises BadSignature; then, and on
         any exception from the block or the verifier, the batch layer is
         dropped and the pending block is as it was before the batch.  The
@@ -177,7 +180,7 @@ class Node:
                 raise RuntimeError("batches do not nest")
             staged, written = len(self._pending), len(self._pending_writes)
             self.world.push_layer()
-            self._lanes = _Lanes(verifier)
+            self._lanes = _Lanes(verifier, _BATCH_AHEAD)
             try:
                 yield
                 verdicts = self._lanes.take(len(self._pending) - staged)
@@ -363,7 +366,7 @@ class Node:
         body = blocks[1:]
         txs = [tx for block in body for tx in block.txs]
         with Verifier() if txs else nullcontext() as verifier:
-            lanes = _Lanes(verifier)
+            lanes = _Lanes(verifier, _REPLAY_AHEAD)
             lanes.add(txs)
             for height, block in enumerate(body, start=1):
                 node._replay_block(height, block, lanes)
@@ -400,7 +403,8 @@ class Node:
             raise BrokenChain(height, "re-sealed block hash differs")
 
 
-_REPLAY_AHEAD = 64   # most signatures `_Lanes` keeps unanswered at its worker (ROADMAP item 6)
+_REPLAY_AHEAD = 64   # most signatures replay's `_Lanes` keeps unanswered at its worker
+_BATCH_AHEAD = 2     # and a batch's, which leaves the rest for its end to steal
 
 
 def _signed(tx: Transaction) -> tuple[bytes, bytes, bytes]:
@@ -435,9 +439,9 @@ class Verifier:
     bytes) triples to the worker, and ``receive`` returns the worker's
     answer to the oldest message not yet received: one verdict byte per
     triple (1 when the signature verifies), in the order they were sent.
-    With ``wait=False`` it returns b"" at once if no answer is back, so a
-    caller with other work to do (`_Lanes`, which buffers the verdicts)
-    need not block.  The worker is forked on construction, so nothing of
+    With ``wait=False`` it returns b"" at once if no answer is back, asking
+    one poll object registered on construction, so a caller with other
+    work to do (`_Lanes`, which buffers the verdicts) need not block.  The worker is forked on construction, so nothing of
     this module is pickled for it, and it runs the ``verify_signature``
     the module holds then.  Verification holds the interpreter lock, so it
     runs on another CPU while the caller executes.  `_Lanes` keeps at most
@@ -463,6 +467,8 @@ class Verifier:
             self._requests.close()
             self._verdicts.close()
             raise
+        self._answered = select.poll()
+        self._answered.register(self._verdicts, select.POLLIN)
 
     def send(self, triples: list) -> None:
         try:
@@ -471,7 +477,7 @@ class Verifier:
             self._worker_exited()
 
     def receive(self, wait: bool = True) -> bytes:
-        if not wait and not self._verdicts.poll():
+        if not wait and not self._answered.poll(0):
             return b""
         try:
             return self._verdicts.recv_bytes()
@@ -501,27 +507,30 @@ class _Lanes:
     """Signature verdicts, in submission order, from two lanes, kept in the
     one verdict buffer, into which the worker's answers are filed.
 
-    `add` takes transactions as they arrive: one per `submit` in a batch,
-    a whole chain in replay.  Each signature is handed out once, in order:
-    sent to the worker of ``verifier``, which every `add` and `take` tops up
-    to ``_REPLAY_AHEAD`` unanswered signatures, or verified in this process.
-    `take` returns the verdicts of the next ``count`` transactions.  While
-    one of them is still with the worker, this process tops the worker up
-    and verifies the next signature that nobody has started (work-stealing:
-    Blumofe and Leiserson, JACM 1999), and waits only when every signature
-    is handed out.
+    `add` takes transactions, all before the first `take`: one per `submit`
+    in a batch, a whole chain in replay.  Each signature is handed out once:
+    sent to the worker of ``verifier`` in order, at most ``ahead`` of them
+    unanswered, or verified in this process.  The worker's answers are read
+    only once it has ``ahead``, so `add` polls the verdict pipe only while
+    the worker lags.  `take` returns the verdicts of the next ``count``
+    transactions.  While one of them is still with the worker, this process
+    verifies a signature nobody has started (work-stealing: Blumofe and
+    Leiserson, JACM 1999): the last one if the count reaches it, as a
+    batch's does, else the first; it waits only when all are handed out.
     """
 
-    def __init__(self, verifier: Verifier | None):
-        self._verifier = verifier   # None only while nothing is added
+    def __init__(self, verifier: Verifier | None, ahead: int):
+        self._verifier, self._ahead = verifier, ahead   # verifier is None only while nothing is added
         self._txs: list[Transaction] = []
         self._verdicts = bytearray()
-        self._handed = 0         # signatures sent to the worker or verified here
+        self._handed = 0         # signatures before this one are handed out, ...
+        self._stolen = 0         # ... and so are those from this one on
         self._taken = 0          # verdicts returned by `take`
         self._at_worker = deque()   # indices sent to the worker and not yet answered
 
     def add(self, txs) -> None:
         self._txs.extend(txs)
+        self._stolen = len(self._txs)
         self._verdicts += bytes(len(txs))
         self._top_up()
 
@@ -529,27 +538,32 @@ class _Lanes:
         start, stop = self._taken, self._taken + count
         while True:
             self._top_up()
-            if stop <= self._handed and not (self._at_worker and self._at_worker[0] < stop):
+            if min(stop, self._stolen) <= self._handed and not (
+                    self._at_worker and self._at_worker[0] < stop):
                 break
-            if self._handed < len(self._txs):
-                tx = self._txs[self._handed]
-                self._verdicts[self._handed] = verify_signature(*_signed(tx))
-                self._handed += 1
-            else:
+            if self._handed == self._stolen:
                 self._collect(self._verifier.receive())
+            elif self._stolen <= stop:
+                self._stolen -= 1
+                self._verdicts[self._stolen] = verify_signature(*_signed(self._txs[self._stolen]))
+            else:
+                self._verdicts[self._handed] = verify_signature(*_signed(self._txs[self._handed]))
+                self._handed += 1
         self._taken = stop
         return bytes(self._verdicts[start:stop])
 
     def _top_up(self) -> None:
-        """File the verdicts the worker has sent back, then send it the next
-        signatures until it has ``_REPLAY_AHEAD`` unanswered, at most a
-        quarter of that to a message: the worker answers a message whole, so
-        smaller messages bring verdicts back sooner and leave it one to go
-        on with while this process reads an answer."""
-        while self._at_worker and (verdicts := self._verifier.receive(wait=False)):
-            self._collect(verdicts)
-        start, per_message = self._handed, _REPLAY_AHEAD // 4
-        stop = min(len(self._txs), start + _REPLAY_AHEAD - len(self._at_worker))
+        """Once the worker has ``ahead`` unanswered signatures, file the
+        verdicts it has sent back; then send it the next signatures until
+        it has ``ahead``, at most a quarter of that to a message: the worker
+        answers a message whole, so smaller messages bring verdicts back
+        sooner and leave it one to go on with while this process reads an
+        answer."""
+        if len(self._at_worker) >= self._ahead:
+            while self._at_worker and (verdicts := self._verifier.receive(wait=False)):
+                self._collect(verdicts)
+        start, per_message = self._handed, -(-self._ahead // 4)
+        stop = min(self._stolen, start + self._ahead - len(self._at_worker))
         for first in range(start, stop, per_message):
             chunk = self._txs[first:min(stop, first + per_message)]
             self._verifier.send([_signed(tx) for tx in chunk])

@@ -148,6 +148,58 @@ def test_batch_past_the_look_ahead_verifies_each_signature_once(fed, alice, monk
     assert multiprocessing.active_children() == []
 
 
+def test_serving_process_steals_the_tail_of_a_batch(fed, alice, monkeypatch):
+    """With the worker slowed, the signatures a batch has not sent it by its
+    end are verified by this process, and each signature exactly once."""
+    node, feed = fed
+    calls = lane_counting_verify(monkeypatch, "worker")
+    with Verifier() as verifier:
+        with node.batch(verifier):
+            for value in range(26):
+                node.submit(push(alice, node, feed, value))
+    assert len(node.blocks[-1].txs) == 26 and node.pending_count == 0
+    assert calls["main"].value >= 1
+    assert calls["main"].value + calls["worker"].value == 26
+    assert multiprocessing.active_children() == []
+
+
+def test_forged_signature_in_the_stolen_tail_undoes_the_batch(fed, alice, bob, monkeypatch):
+    """The batch's last signature is the first this process steals; a forged
+    one there raises BadSignature and leaves the node as it was."""
+    node, feed = fed
+    node.transfer(bob, alice.account, 5)          # pending before the batch
+    digest, height, nonce = node.state_digest(), node.height, node.next_nonce(alice.account)
+    calls = lane_counting_verify(monkeypatch, "worker")
+    with Verifier() as verifier:
+        with pytest.raises(BadSignature, match="batched transaction 25 does not verify"):
+            with node.batch(verifier):
+                for value in range(25):
+                    node.submit(push(alice, node, feed, value))
+                node.submit(push(ForgingSigner.from_seed("alice"), node, feed, 25))
+        assert calls["main"].value >= 1            # so the last one was stolen
+        assert calls["main"].value + calls["worker"].value == 26
+        assert (node.state_digest(), node.height, node.pending_count) == (digest, height, 1)
+        assert node.next_nonce(alice.account) == nonce
+        with node.batch(verifier):       # the verifier is still in step
+            node.submit(push(alice, node, feed, 26))
+    assert [len(block.txs) for block in node.blocks[height + 1:]] == [2]
+    assert decode_values(node.static(feed, "last", []))[0] == 26
+
+
+def test_verifier_receive_without_waiting_reports_a_dead_worker(monkeypatch, alice):
+    dying_verify(monkeypatch)
+    tx = make_transaction(alice, 1, None, "feed")
+    with Verifier() as verifier:
+        assert verifier.receive(wait=False) == b""       # nothing sent, nothing back
+        verifier.send([ledger._signed(tx)])
+        with pytest.raises(ChildProcessError, match="exit code 3"):
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                assert verifier.receive(wait=False) == b""
+                time.sleep(0.001)
+    assert multiprocessing.active_children() == []
+
+
 def test_batch_of_one_and_empty_batch(fed, alice, monkeypatch):
     node, feed = fed
     calls = counting_verify(monkeypatch)
