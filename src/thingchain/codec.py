@@ -142,6 +142,8 @@ TAG_BOOL = 3
 TAG_LIST = 4
 
 _KINDS = frozenset((bool, bytes, str, int, list, tuple))
+_BYTES, _STR, _INT, _LIST = (bytes([tag]) for tag in (TAG_BYTES, TAG_STR, TAG_INT, TAG_LIST))
+_FALSE, _TRUE = bytes([TAG_BOOL, 0]), bytes([TAG_BOOL, 1])
 
 
 def _enc_values(values, out: list) -> None:
@@ -155,15 +157,15 @@ def _enc_values(values, out: list) -> None:
             if kind is None:
                 raise TypeError(f"unsupported value type: {type(v).__name__}")
         if kind is int:
-            out.append(b"\x02" + enc_i64(v))       # TAG_INT
+            out.append(_INT + enc_i64(v))
         elif kind is str:
-            out.append(b"\x01" + enc_str(v))       # TAG_STR
+            out.append(_STR + enc_str(v))
         elif kind is bytes:
-            out.append(b"\x00" + enc_bytes(v))     # TAG_BYTES
+            out.append(_BYTES + enc_bytes(v))
         elif kind is bool:
-            out.append(b"\x03\x01" if v else b"\x03\x00")   # TAG_BOOL
+            out.append(_TRUE if v else _FALSE)
         else:
-            out.append(b"\x04" + _U32.pack(len(v)))   # TAG_LIST
+            out.append(_LIST + _U32.pack(len(v)))
             _enc_values(v, out)
 
 

@@ -167,11 +167,11 @@ class Node:
         the pending block, and adds it to the batch's `_Lanes` over
         ``verifier``, kept ``_BATCH_AHEAD`` signatures ahead.  On leaving the
         block the batch takes the verdicts, verifying the signatures not yet
-        sent from the batch's end while the worker answers from its front,
-        and, if every one is true, seals one block (none if it staged
-        nothing).  If a verdict is false it raises BadSignature; then, and on
-        any exception from the block or the verifier, the batch layer is
-        dropped and the pending block is as it was before the batch.  The
+        sent while the worker answers those it holds, and, if every one is
+        true, seals one block (none if it staged nothing).  If a verdict is
+        false it raises BadSignature; then, and on any exception from the
+        block or the verifier, the batch layer is dropped and the pending
+        block is as it was before the batch.  The
         verifier is left in step only after a normal exit or BadSignature.
         The node's lock is held throughout.
         """
@@ -404,7 +404,7 @@ class Node:
 
 
 _REPLAY_AHEAD = 64   # most signatures replay's `_Lanes` keeps unanswered at its worker
-_BATCH_AHEAD = 2     # and a batch's, which leaves the rest for its end to steal
+_BATCH_AHEAD = 2     # and a batch's, which leaves the rest for `take` to steal
 
 
 def _signed(tx: Transaction) -> tuple[bytes, bytes, bytes]:
@@ -441,9 +441,9 @@ class Verifier:
     triple (1 when the signature verifies), in the order they were sent.
     With ``wait=False`` it returns b"" at once if no answer is back, asking
     one poll object registered on construction, so a caller with other
-    work to do (`_Lanes`, which buffers the verdicts) need not block.  The worker is forked on construction, so nothing of
-    this module is pickled for it, and it runs the ``verify_signature``
-    the module holds then.  Verification holds the interpreter lock, so it
+    work to do (`_Lanes`, which buffers the verdicts) need not block.  The
+    worker is forked on construction, so nothing of this module is pickled
+    for it, and it runs the ``verify_signature`` the module holds then.  Verification holds the interpreter lock, so it
     runs on another CPU while the caller executes.  `_Lanes` keeps at most
     ``_REPLAY_AHEAD`` = 64 signatures unanswered, so neither pipe can fill:
     64 triples are a few KB (13 KB for feed pushes) and 64 verdicts a few
@@ -507,30 +507,28 @@ class _Lanes:
     """Signature verdicts, in submission order, from two lanes, kept in the
     one verdict buffer, into which the worker's answers are filed.
 
-    `add` takes transactions, all before the first `take`: one per `submit`
-    in a batch, a whole chain in replay.  Each signature is handed out once:
-    sent to the worker of ``verifier`` in order, at most ``ahead`` of them
+    `add` takes transactions as they arrive: one per `submit` in a batch,
+    a whole chain in replay.  Each signature is handed out once, in order:
+    sent to the worker of ``verifier``, at most ``ahead`` of them
     unanswered, or verified in this process.  The worker's answers are read
     only once it has ``ahead``, so `add` polls the verdict pipe only while
     the worker lags.  `take` returns the verdicts of the next ``count``
     transactions.  While one of them is still with the worker, this process
-    verifies a signature nobody has started (work-stealing: Blumofe and
-    Leiserson, JACM 1999): the last one if the count reaches it, as a
-    batch's does, else the first; it waits only when all are handed out.
+    tops the worker up and verifies the next signature that nobody has
+    started (work-stealing: Blumofe and Leiserson, JACM 1999), and waits
+    only when every signature is handed out.
     """
 
     def __init__(self, verifier: Verifier | None, ahead: int):
         self._verifier, self._ahead = verifier, ahead   # verifier is None only while nothing is added
         self._txs: list[Transaction] = []
         self._verdicts = bytearray()
-        self._handed = 0         # signatures before this one are handed out, ...
-        self._stolen = 0         # ... and so are those from this one on
+        self._handed = 0         # signatures sent to the worker or verified here
         self._taken = 0          # verdicts returned by `take`
         self._at_worker = deque()   # indices sent to the worker and not yet answered
 
     def add(self, txs) -> None:
         self._txs.extend(txs)
-        self._stolen = len(self._txs)
         self._verdicts += bytes(len(txs))
         self._top_up()
 
@@ -538,17 +536,14 @@ class _Lanes:
         start, stop = self._taken, self._taken + count
         while True:
             self._top_up()
-            if min(stop, self._stolen) <= self._handed and not (
-                    self._at_worker and self._at_worker[0] < stop):
+            if stop <= self._handed and not (self._at_worker and self._at_worker[0] < stop):
                 break
-            if self._handed == self._stolen:
-                self._collect(self._verifier.receive())
-            elif self._stolen <= stop:
-                self._stolen -= 1
-                self._verdicts[self._stolen] = verify_signature(*_signed(self._txs[self._stolen]))
-            else:
-                self._verdicts[self._handed] = verify_signature(*_signed(self._txs[self._handed]))
+            if self._handed < len(self._txs):
+                tx = self._txs[self._handed]
+                self._verdicts[self._handed] = verify_signature(*_signed(tx))
                 self._handed += 1
+            else:
+                self._collect(self._verifier.receive())
         self._taken = stop
         return bytes(self._verdicts[start:stop])
 
@@ -563,7 +558,7 @@ class _Lanes:
             while self._at_worker and (verdicts := self._verifier.receive(wait=False)):
                 self._collect(verdicts)
         start, per_message = self._handed, -(-self._ahead // 4)
-        stop = min(self._stolen, start + self._ahead - len(self._at_worker))
+        stop = min(len(self._txs), start + self._ahead - len(self._at_worker))
         for first in range(start, stop, per_message):
             chunk = self._txs[first:min(stop, first + per_message)]
             self._verifier.send([_signed(tx) for tx in chunk])

@@ -148,7 +148,7 @@ def test_batch_past_the_look_ahead_verifies_each_signature_once(fed, alice, monk
     assert multiprocessing.active_children() == []
 
 
-def test_serving_process_steals_the_tail_of_a_batch(fed, alice, monkeypatch):
+def test_serving_process_verifies_the_unsent_tail_of_a_batch(fed, alice, monkeypatch):
     """With the worker slowed, the signatures a batch has not sent it by its
     end are verified by this process, and each signature exactly once."""
     node, feed = fed
@@ -163,9 +163,9 @@ def test_serving_process_steals_the_tail_of_a_batch(fed, alice, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_forged_signature_in_the_stolen_tail_undoes_the_batch(fed, alice, bob, monkeypatch):
-    """The batch's last signature is the first this process steals; a forged
-    one there raises BadSignature and leaves the node as it was."""
+def test_forged_signature_in_the_unsent_tail_undoes_the_batch(fed, alice, bob, monkeypatch):
+    """With the worker slowed, a forged signature at the batch's end, past
+    the worker's window, raises BadSignature and leaves the node as it was."""
     node, feed = fed
     node.transfer(bob, alice.account, 5)          # pending before the batch
     digest, height, nonce = node.state_digest(), node.height, node.next_nonce(alice.account)
@@ -176,7 +176,7 @@ def test_forged_signature_in_the_stolen_tail_undoes_the_batch(fed, alice, bob, m
                 for value in range(25):
                     node.submit(push(alice, node, feed, value))
                 node.submit(push(ForgingSigner.from_seed("alice"), node, feed, 25))
-        assert calls["main"].value >= 1            # so the last one was stolen
+        assert calls["main"].value >= 1            # so the tail was stolen
         assert calls["main"].value + calls["worker"].value == 26
         assert (node.state_digest(), node.height, node.pending_count) == (digest, height, 1)
         assert node.next_nonce(alice.account) == nonce
