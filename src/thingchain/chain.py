@@ -57,7 +57,8 @@ class Transaction:
         return self.signing_bytes() + enc_bytes(self.signature)
 
     @classmethod
-    def read(cls, r: Reader) -> "Transaction":
+    def decode(cls, data: bytes) -> "Transaction":
+        r = Reader(data)
         sender_key = r.bytes_()
         nonce = r.u64()
         tag = r.u8()
@@ -71,14 +72,8 @@ class Transaction:
         args = r.bytes_()
         tokens = r.u64()
         signature = r.bytes_()
-        return cls(sender_key, nonce, target, method, args, tokens, signature)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Transaction":
-        r = Reader(data)
-        tx = cls.read(r)
         r.expect_end()
-        return tx
+        return cls(sender_key, nonce, target, method, args, tokens, signature)
 
 
 def make_transaction(
@@ -142,7 +137,8 @@ class Receipt:
         return digest(b"receipt:" + self.encode())
 
     @classmethod
-    def read(cls, r: Reader) -> "Receipt":
+    def decode(cls, data: bytes) -> "Receipt":
+        r = Reader(data)
         tag = r.u8()
         if tag == 0:
             status, reason = STATUS_OK, ""
@@ -152,14 +148,8 @@ class Receipt:
             raise DecodeError(f"unknown receipt status tag {tag}")
         return_value = r.bytes_()
         events = tuple(Event.read(r) for _ in range(r.u32()))
-        return cls(status, reason, return_value, events)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Receipt":
-        r = Reader(data)
-        receipt = cls.read(r)
         r.expect_end()
-        return receipt
+        return cls(status, reason, return_value, events)
 
 
 @dataclass(frozen=True)

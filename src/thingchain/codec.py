@@ -15,25 +15,18 @@ import zlib
 
 from .errors import DecodeError
 
-U16_MAX = 0xFFFF
 U32_MAX = 0xFFFFFFFF
 U64_MAX = 0xFFFFFFFFFFFFFFFF
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
 
-_U16, _U32, _U64, _I64 = map(struct.Struct, (">H", ">I", ">Q", ">q"))
+_U32, _U64, _I64 = map(struct.Struct, (">I", ">Q", ">q"))
 
 
 def enc_u8(n: int) -> bytes:
     if not 0 <= n <= 0xFF:
         raise ValueError(f"u8 out of range: {n}")
     return bytes([n])
-
-
-def enc_u16(n: int) -> bytes:
-    if not 0 <= n <= U16_MAX:
-        raise ValueError(f"u16 out of range: {n}")
-    return _U16.pack(n)
 
 
 def enc_u32(n: int) -> bytes:
@@ -98,7 +91,6 @@ class Reader:
         return self.data[pos : pos + n]
 
     u8 = _field(">B")
-    u16 = _field(">H")
     u32 = _field(">I")
     u64 = _field(">Q")
     i64 = _field(">q")

@@ -34,11 +34,8 @@ from ..units import parse_milli
 from . import wire
 from .journal import Journal
 
-RETRY_BASE_TICKS = 1
-RETRY_CAP_TICKS = 32
 MAX_DELIVERY_ATTEMPTS = 5
-TRAFFIC_LOG_SIZE = 4096       # most recent entries kept in Gateway.traffic and
-                              # UdpTransport.uri_payloads
+TRAFFIC_LOG_SIZE = 4096       # most recent entries kept in UdpTransport.uri_payloads
 DEAD_LETTER_LIMIT = 1024      # most recent undeliverable events kept in Gateway.dead_letters
 BATCH_LIMIT = 32              # most PUT/POST datagrams step() answers as one batch
 POLL_INTERVAL = 0.05          # seconds between the event polls of serve()
@@ -148,12 +145,10 @@ class Gateway:
         self.node = node
         self.config = config
         self.transport = transport if transport is not None else RecordingTransport()
-        self.sleep_fn = None                      # called with each retry backoff, if set
         self.journal = Journal(config.journal_path)
         self.things: dict[str, ThingRegistration] = {}
         self.cursor = (0, -1)                     # last fully processed (height, tx_index)
         self.dead_letters: list[tuple] = []
-        self.traffic: deque[tuple[str, str, bytes]] = deque(maxlen=TRAFFIC_LOG_SIZE)
         self._msg_counter = 0
         self._replies: OrderedDict[tuple[str, bytes], bytes] = OrderedDict()
         self._next_poll = float("-inf")           # step() polls once `now` reaches it
@@ -242,8 +237,8 @@ class Gateway:
     def handle_datagram(self, data: bytes, source: str = "") -> bytes:
         """Answer one inbound datagram, verified in process; always returns a
         reply datagram.  It is a batch of one: `_answer_batch`, the one place
-        where a reply is sealed, cached and logged, answers it as it answers
-        the datagrams of a served batch."""
+        where a reply is sealed and cached, answers it as it answers the
+        datagrams of a served batch."""
         return self._answer_batch([(data, source)])[0]
 
     def _translate(self, data: bytes, source: str) -> wire.GatewayMessage:
@@ -349,7 +344,7 @@ class Gateway:
     def _answer_batch(self, requests: list[tuple[bytes, str]],
                       verifier: Verifier | None = None) -> list[bytes]:
         """Answer (datagram, source) requests: the one place where a reply is
-        sealed, cached and logged, for served and lone datagrams alike.
+        sealed, encoded and cached, for served and lone datagrams alike.
 
         With a ``verifier`` (`step` gives one) the requests run as one
         `Node.batch`, whose worker checks their signatures, and seal as one
@@ -359,10 +354,11 @@ class Gateway:
         source (the message id is part of the bytes) is a retransmit: it
         gets the same reply and is not applied again.  The newest
         REPLY_CACHE_SIZE such replies are kept, in memory only.  The cache
-        is trimmed, and traffic logged, once the requests are sealed, so an
-        undone batch evicts no older reply.  If a batched signature does not
-        verify, nothing of the batch is sealed, cached or logged, and each
-        datagram is answered on its own, so the bad one gets BadSignature.
+        is trimmed once the requests are sealed, so an undone batch evicts
+        no older reply.  If a batched signature does not verify, nothing of
+        the batch is sealed or cached, and each datagram is answered on its
+        own, so the bad one gets BadSignature.  A reply too long for one
+        datagram is answered as Error TooLong.
         """
         node = self.node
         with self._lock:
@@ -377,7 +373,10 @@ class Gateway:
                             msg = self._translate(data, source)
                             if verifier is None and (node.height, node.pending_count) != staged:
                                 node.seal_block()
-                            reply = msg.encode()
+                            try:
+                                reply = msg.encode()
+                            except WireError as exc:
+                                reply = wire.error(msg.message_id, exc.reason).encode()
                             if msg.msg_type == wire.MSG_ACK and wire.is_write(data):
                                 cached.append((source, data))
                                 self._replies[(source, data)] = reply
@@ -390,9 +389,6 @@ class Gateway:
                 return [self.handle_datagram(data, source) for data, source in requests]
             while len(self._replies) > REPLY_CACHE_SIZE:
                 self._replies.popitem(last=False)
-            for (data, source), reply in zip(requests, replies):
-                self.traffic.append(("in", source, data))
-                self.traffic.append(("out", source, reply))
             return replies
 
     # ------------------------------------------------------------------
@@ -407,14 +403,10 @@ class Gateway:
     def _deliver_with_retry(self, describe: tuple, destination: str, data: bytes,
                             deliver) -> int:
         """Call ``deliver(destination, data)`` until it returns, at most
-        MAX_DELIVERY_ATTEMPTS times; returns 1, or 0 once the event is
-        dead-lettered.  Between attempts it calls ``sleep_fn`` with a capped
-        exponential backoff in ticks, when one is set; without one (the
-        default) the attempts run back to back."""
-        backoff = RETRY_BASE_TICKS
+        MAX_DELIVERY_ATTEMPTS times, back to back; returns 1, or 0 once the
+        event is dead-lettered."""
         for attempt in range(1, MAX_DELIVERY_ATTEMPTS + 1):
             try:
-                self.traffic.append(("watch", destination, data))
                 deliver(destination, data)
                 return 1
             except Exception as exc:
@@ -423,9 +415,6 @@ class Gateway:
                     self._dead_letter(entry)
                     self.journal.append("dead", list(entry))
                     return 0
-                if self.sleep_fn is not None:
-                    self.sleep_fn(backoff)
-                backoff = min(backoff * 2, RETRY_CAP_TICKS)
 
     def poll_events(self) -> int:
         """Process newly sealed events once; returns the delivery count.
@@ -528,7 +517,7 @@ class Gateway:
             self._next_poll = now + poll_interval
         return replies, self._next_poll
 
-    def serve(self, stop_event: threading.Event, poll_interval: float = POLL_INTERVAL) -> None:
+    def serve(self, stop_event: threading.Event) -> None:
         """The UDP shell around `step`: waits on the socket bound at
         construction until a datagram comes or `step`'s wake-up time, takes
         up to BATCH_LIMIT waiting datagrams, gives them to `step` with the
@@ -551,7 +540,7 @@ class Gateway:
                 while len(received) < BATCH_LIMIT and poller.poll(0):
                     received.append(sock.recvfrom(65535))
                 requests = [(data, f"{host}:{port}") for data, (host, port) in received]
-                replies, wake_at = self.step(time.monotonic(), requests, verifier, poll_interval)
+                replies, wake_at = self.step(time.monotonic(), requests, verifier)
                 for reply, (_, addr) in zip(replies, received):
                     sock.sendto(reply, addr)
 

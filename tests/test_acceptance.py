@@ -38,15 +38,26 @@ def _script_text() -> str:
 
 @pytest.fixture(scope="module")
 def building_run(tmp_path_factory):
-    """One full smart-building run kept around for criteria 2 and 9."""
+    """One full smart-building run kept around for criteria 2 and 9, with
+    every (datagram, reply) pair its gateway answered."""
     workdir = tmp_path_factory.mktemp("accept")
     export = workdir / "building.chain"
     runner = ScenarioRunner(seed=SEED, workdir=str(workdir))
-    started = time.monotonic()
-    report = runner.run(_script_text(), export_path=str(export))
-    duration = time.monotonic() - started
+    exchanges = []
+    handle_datagram = Gateway.handle_datagram
+
+    def recording_handle_datagram(gateway, data, source=""):
+        reply = handle_datagram(gateway, data, source)
+        exchanges.append((data, reply))
+        return reply
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Gateway, "handle_datagram", recording_handle_datagram)
+        started = time.monotonic()
+        report = runner.run(_script_text(), export_path=str(export))
+        duration = time.monotonic() - started
     assert report.exit_code == 0, report.failure
-    return runner, report, export, duration
+    return runner, report, export, duration, exchanges
 
 
 # -----------------------------------------------------------------------------
@@ -54,7 +65,7 @@ def building_run(tmp_path_factory):
 def test_criterion_1_determinism(building_run):
     """Three independent runs, fixed seed, >=200 txs, bit-identical digests,
     each under 10 seconds."""
-    _, first_report, _, first_duration = building_run
+    _, first_report, _, first_duration, _ = building_run
     assert first_report.tx_count >= 200
     digests = [first_report.final_digest]
     durations = [first_duration]
@@ -72,7 +83,7 @@ def test_criterion_1_determinism(building_run):
 
 
 def test_criterion_2_append_only_replay(building_run):
-    runner, _, export, _ = building_run
+    runner, _, export, _, _ = building_run
     data = export.read_bytes()
     assert replay(data) == runner.node.state_digest()
 
@@ -500,7 +511,7 @@ def test_criterion_8_gateway_soundness(tmp_path, request):
 
 
 def test_criterion_9_no_secrets(building_run):
-    runner, _, export, _ = building_run
+    runner, _, export, _, exchanges = building_run
     gateway = runner.gateway
     node = runner.node
 
@@ -513,8 +524,10 @@ def test_criterion_9_no_secrets(building_run):
         secrets.append(signer.private_bytes())
     assert secrets and all(len(s) == 32 for s in secrets)
 
+    assert exchanges
     blobs = [export.read_bytes()]
-    blobs.extend(data for _, _, data in gateway.traffic)
+    blobs.extend(data for exchange in exchanges for data in exchange)
+    blobs.extend(data for _, data in runner.transport.datagrams + runner.transport.uri_payloads)
     contracts = {tx.target for block in node.blocks for tx in block.txs
                  if tx.target is not None and node.contract_exists(tx.target)}
     for address in contracts:

@@ -55,9 +55,6 @@ class RefReader:
     def u8(self):
         return self.take(1)[0]
 
-    def u16(self):
-        return struct.unpack(">H", self.take(2))[0]
-
     def u32(self):
         return struct.unpack(">I", self.take(4))[0]
 
@@ -220,7 +217,7 @@ def test_decode_values_matches_the_reference(data):
         assert got[0] == "ok" and typed(got[1]) == typed(want[1])
 
 
-READS = ["u8", "u16", "u32", "u64", "i64", "bytes_", "str_", "frame", "expect_end"]
+READS = ["u8", "u32", "u64", "i64", "bytes_", "str_", "frame", "expect_end"]
 
 
 @DIFFERENTIAL

@@ -12,6 +12,7 @@ from thingchain.chain import load_chain
 from thingchain.codec import decode_values, encode_values
 from thingchain.errors import DuplicateThing, NotListening
 from thingchain.gateway import Gateway, GatewayConfig, Journal, wire
+from thingchain.gateway.service import POLL_INTERVAL
 
 _made = []    # gateways built by make_gateway, closed when their test ends
 
@@ -195,17 +196,18 @@ def test_no_signing_material_in_state_or_traffic(tmp_path):
     gw = make_gateway(tmp_path)
     reg = gw.register_thing("t17", endpoint="sim:t17")
     gw.allow_requester(reg, "ep:council")
-    put_data(gw, "t17", 21_000, tick=1)
-    msg = wire.request(wire.POST, 5, "/things/t17/actuate", encode_values(["go", b""]))
-    gw.handle_datagram(msg.encode(), "ep:council")
+    put = wire.request(wire.PUT, 1, "/things/t17/data", encode_values([21_000, "C", 1]))
+    post = wire.request(wire.POST, 5, "/things/t17/actuate", encode_values(["go", b""]))
+    sent = [put.encode(), post.encode()]
+    replies = [gw.handle_datagram(sent[0], "sim:t17"), gw.handle_datagram(sent[1], "ep:council")]
     gw.poll_events()
 
     secrets = [gw._thing_signer("t17").private_bytes()]
     for seed in gw.config.requesters.values():
         secrets.append(Signer.from_seed(seed).private_bytes())
 
-    blobs = [gw.node.export_bytes()]
-    blobs.extend(data for _, _, data in gw.traffic)
+    blobs = [gw.node.export_bytes(), *sent, *replies]
+    blobs.extend(data for _, data in gw.transport.datagrams)
     for address in (reg.feed_addr, reg.actuation_addr):
         for key in gw.node.state_keys(address):
             blobs.append(gw.node.read_state(address, key))
@@ -428,10 +430,8 @@ def test_delivery_failures_dead_letter_and_cursor_advances(tmp_path):
     gw.allow_requester(reg, "ep:council")
     _actuate(gw, reg)
     gw.transport.fail_remaining["sim:t17"] = 99     # every attempt fails
-    backoffs = []
-    gw.sleep_fn = backoffs.append
     assert gw.poll_events() == 0
-    assert backoffs == [1, 2, 4, 8]                 # capped exponential, 5 attempts
+    assert gw.transport.fail_remaining["sim:t17"] == 94   # 5 attempts
     assert len(gw.dead_letters) == 1
     assert gw.dead_letters[0][2] == "actuate"
     # the cursor moved past the poisoned event
@@ -540,9 +540,8 @@ def test_watcher_delivers_during_a_steady_put_stream(tmp_path):
     gw.allow_requester(reg, client_endpoint)
     host, port = gw.address.rsplit(":", 1)
     server = (host, int(port))
-    poll_interval = 0.05
     stop = threading.Event()
-    thread = threading.Thread(target=gw.serve, args=(stop, poll_interval), daemon=True)
+    thread = threading.Thread(target=gw.serve, args=(stop,), daemon=True)
     thread.start()
 
     def request(msg):
@@ -570,22 +569,10 @@ def test_watcher_delivers_during_a_steady_put_stream(tmp_path):
         gw.close()
     assert not thread.is_alive()
     assert delivered_after is not None, "no event delivered during the PUT stream"
-    assert delivered_after < 5 * poll_interval
+    assert delivered_after < 5 * POLL_INTERVAL
     (endpoint, data), = gw.transport.datagrams
     assert endpoint == "sim:t17"
     assert decode_values(wire.decode_message(data).payload)[3] == "valve_open"
-
-
-def test_traffic_log_stays_at_its_bound(tmp_path):
-    from thingchain.gateway.service import TRAFFIC_LOG_SIZE
-
-    gw = make_gateway(tmp_path)
-    for msg_id in range(TRAFFIC_LOG_SIZE):      # a request and a reply each
-        gw.handle_datagram(b"\x00", f"sim:{msg_id}")
-    assert len(gw.traffic) == TRAFFIC_LOG_SIZE
-    assert gw.traffic[0][:2] == ("in", f"sim:{TRAFFIC_LOG_SIZE // 2}")
-    assert gw.traffic[-1][:2] == ("out", f"sim:{TRAFFIC_LOG_SIZE - 1}")
-    gw.close()
 
 
 def test_uri_deliveries_and_dead_letters_stay_at_their_bounds(tmp_path, monkeypatch):

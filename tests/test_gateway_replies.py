@@ -206,3 +206,25 @@ def test_step_answers_every_datagram_once(verifier, received):
         msg = wire.decode_message(reply)
         assert msg.msg_type in (wire.MSG_ACK, wire.MSG_ERROR)
         assert msg.message_id == wire.peek_message_id(data)
+
+
+# --- a reply too long for one datagram ----------------------------------------
+
+def test_reply_over_the_datagram_cap_is_an_error_and_the_gateway_goes_on(tmp_path, verifier):
+    gw = make_gateway(tmp_path)
+    try:
+        owner = Signer.from_seed("council")
+        _, feed = gw.node.deploy(owner, "feed")
+        assert gw.node.call(owner, feed, "push", encode_values([1, "u" * 1200, 1])).ok
+        gw.node.seal_block()
+        gw.register_thing("t1", feed_addr=feed)
+        big = wire.request(wire.GET, 31, "/things/t1/last").encode()
+        small = wire.request(wire.GET, 32, "/things/t1/stats?from=0&to=1").encode()
+        alone = [gw.handle_datagram(data, "ep:anyone") for data in (big, small)]
+        stepped, _ = gw.step(0.0, [(big, "ep:anyone"), (small, "ep:anyone")], verifier)
+    finally:
+        gw.close()
+    for replies in (alone, stepped):
+        too_long, answered = map(wire.decode_message, replies)
+        assert too_long.message_id == 31 and reason(too_long) == "TooLong"
+        assert answered.message_id == 32 and decode_values(answered.payload) == [1, 1, 1, 1]
